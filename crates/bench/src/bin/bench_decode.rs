@@ -12,9 +12,10 @@
 //! packed path wins on the host too — by how much is what this bench
 //! measures.
 //!
-//! All three variants run the allocation-free workspace decode
-//! (`forward_step_batch_indexed_with`), so the comparison is kernels
-//! only, not allocator noise.
+//! All three variants run the same allocation-free batched advance
+//! (`lightmamba_model::advance` on a one-thread pool, reusing one
+//! workspace and logits buffer), so the comparison is kernels only, not
+//! allocator noise.
 //!
 //! A second section times the *serving engine* on the FP model — the
 //! same decode-heavy run bare and with the full observability layer
@@ -22,13 +23,12 @@
 //! measure what instrumentation costs on the engine hot loop (pinned
 //! ≤5% by `tests/obs_overhead.rs`).
 //!
-//! A third section sweeps the worker-pool width: the same batched
-//! decode sharded over 1, 2, … `--threads` cores through the parallel
-//! drivers (`lightmamba_model::par`), on the FP and the integer-W4A4
-//! path. Sharded output is bit-identical to sequential for every width
-//! (pinned by the par-driver tests), so the sweep measures pure
-//! host-scaling, and the per-width tokens/s land in BENCH_JSON
-//! alongside the active SIMD ISA.
+//! A third section sweeps the worker-pool width: the same `advance`
+//! sharded over 1, 2, … `--threads` cores, on the FP and the
+//! integer-W4A4 path. Sharded output is bit-identical to one thread for
+//! every width (pinned by `lightmamba_model::par`'s tests), so the
+//! sweep measures pure host-scaling, and the per-width tokens/s land in
+//! BENCH_JSON alongside the active SIMD ISA.
 //!
 //! Flags:
 //! * `--smoke` — tiny config and short loops (CI);
@@ -43,10 +43,12 @@ use std::time::Instant;
 
 use lightmamba::report::render_table;
 use lightmamba_bench::engine_obs_overhead;
-use lightmamba_model::{DecodeWorkspace, MambaConfig, MambaModel, ModelState, ParDecodeWorkspace};
+use lightmamba_model::{
+    advance, AdvanceWorkspace, LogitsBuf, MambaConfig, MambaModel, ModelState, StepKernels,
+};
 use lightmamba_pool::WorkerPool;
-use lightmamba_quant::qmodel::{ExecMode, Precision, QuantWorkspace};
-use lightmamba_quant::{ParQuantWorkspace, PreparedModel, QuantizedMamba};
+use lightmamba_quant::qmodel::{ExecMode, Precision};
+use lightmamba_quant::{PreparedModel, QuantizedMamba};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -126,31 +128,44 @@ fn bench_config(smoke: bool) -> MambaConfig {
     }
 }
 
-/// One timed decode loop; returns tokens per second.
-fn time_decode<F: FnMut(&[(usize, u32)], &mut [ModelState])>(
-    vocab: usize,
+/// One timed loop of batch-`batch` single-token advances on `pool`;
+/// returns tokens per second. Every tick's items are laid out before
+/// the clock starts, so the timed loop allocates nothing.
+fn time_decode<K: StepKernels>(
+    kernels: &K,
     batch: usize,
     warmup: usize,
     steps: usize,
     states: &mut [ModelState],
-    mut step: F,
-) -> f64 {
+    pool: &WorkerPool,
+) -> f64
+where
+    K::Error: std::fmt::Debug,
+{
     for st in states.iter_mut() {
         st.reset();
     }
-    let mut items: Vec<(usize, u32)> = (0..batch).map(|k| (k, 0u32)).collect();
-    let mut tick = |t: usize, states: &mut [ModelState]| {
-        for (k, item) in items.iter_mut().enumerate() {
-            item.1 = ((t * 7 + k * 13) % vocab) as u32;
-        }
-        step(&items, states);
-    };
-    for t in 0..warmup {
-        tick(t, states);
+    let vocab = kernels.config().vocab_size;
+    let tokens: Vec<u32> = (0..warmup + steps)
+        .flat_map(|t| (0..batch).map(move |k| ((t * 7 + k * 13) % vocab) as u32))
+        .collect();
+    let ticks: Vec<Vec<(usize, &[u32])>> = tokens
+        .chunks(batch)
+        .map(|tick| {
+            tick.iter()
+                .enumerate()
+                .map(|(k, t)| (k, std::slice::from_ref(t)))
+                .collect()
+        })
+        .collect();
+    let mut ws = AdvanceWorkspace::new();
+    let mut out = LogitsBuf::new();
+    for items in &ticks[..warmup] {
+        advance(kernels, items, states, pool, &mut ws, &mut out).expect("decode step");
     }
     let start = Instant::now();
-    for t in 0..steps {
-        tick(warmup + t, states);
+    for items in &ticks[warmup..] {
+        advance(kernels, items, states, pool, &mut ws, &mut out).expect("decode step");
     }
     let secs = start.elapsed().as_secs_f64();
     (batch * steps) as f64 / secs
@@ -184,52 +199,17 @@ fn main() {
         q_int.mean_weight_bits()
     );
 
-    let mut fp_ws = DecodeWorkspace::new();
-    let mut fake_ws = QuantWorkspace::new();
-    let mut int_ws = QuantWorkspace::new();
-
+    let one_thread = WorkerPool::new(1);
     let mut rows = Vec::new();
     let mut fp_tps = Vec::new();
     let mut fake_tps = Vec::new();
     let mut int_tps = Vec::new();
     for &batch in batches {
         let mut states: Vec<ModelState> = (0..batch).map(|_| model.new_state()).collect();
-        let fp = time_decode(
-            cfg.vocab_size,
-            batch,
-            warmup,
-            args.steps,
-            &mut states,
-            |items, states| {
-                model
-                    .forward_step_batch_indexed_with(items, states, &mut fp_ws)
-                    .expect("fp step");
-            },
-        );
-        let fake = time_decode(
-            cfg.vocab_size,
-            batch,
-            warmup,
-            args.steps,
-            &mut states,
-            |items, states| {
-                q_fake
-                    .forward_step_batch_indexed_with(items, states, &mut fake_ws)
-                    .expect("fake-quant step");
-            },
-        );
-        let int = time_decode(
-            cfg.vocab_size,
-            batch,
-            warmup,
-            args.steps,
-            &mut states,
-            |items, states| {
-                q_int
-                    .forward_step_batch_indexed_with(items, states, &mut int_ws)
-                    .expect("integer step");
-            },
-        );
+        let (steps, pool) = (args.steps, &one_thread);
+        let fp = time_decode(&model, batch, warmup, steps, &mut states, pool);
+        let fake = time_decode(&q_fake, batch, warmup, steps, &mut states, pool);
+        let int = time_decode(&q_int, batch, warmup, steps, &mut states, pool);
         rows.push(vec![
             batch.to_string(),
             format!("{fp:.1}"),
@@ -259,76 +239,35 @@ fn main() {
         )
     );
 
-    // Worker-pool scaling: the same batched decode sharded across the
-    // sweep's pool widths at the largest batch. Width 1 times the
-    // sequential workspace path (the true single-thread baseline);
-    // wider pools run the sharded parallel drivers over per-worker
-    // workspaces — bit-identical output, so this isolates host scaling.
+    // Worker-pool scaling: the same batched advance sharded across the
+    // sweep's pool widths at the largest batch. Width 1 is the true
+    // single-thread baseline on the same code path; wider pools shard
+    // the batch over per-shard workspaces — bit-identical output, so
+    // this isolates host scaling.
     let sweep = thread_sweep(args.threads);
     let par_batch = *batches.last().unwrap();
     let mut fp_par_tps: Vec<f64> = Vec::new();
     let mut int_par_tps: Vec<f64> = Vec::new();
     if args.threads > 1 {
         for &t in &sweep {
+            let pool = WorkerPool::new(t);
             let mut states: Vec<ModelState> = (0..par_batch).map(|_| model.new_state()).collect();
-            let (fp, int) = if t == 1 {
-                let fp = time_decode(
-                    cfg.vocab_size,
-                    par_batch,
-                    warmup,
-                    args.steps,
-                    &mut states,
-                    |items, states| {
-                        model
-                            .forward_step_batch_indexed_with(items, states, &mut fp_ws)
-                            .expect("fp step");
-                    },
-                );
-                let int = time_decode(
-                    cfg.vocab_size,
-                    par_batch,
-                    warmup,
-                    args.steps,
-                    &mut states,
-                    |items, states| {
-                        q_int
-                            .forward_step_batch_indexed_with(items, states, &mut int_ws)
-                            .expect("integer step");
-                    },
-                );
-                (fp, int)
-            } else {
-                let pool = WorkerPool::new(t);
-                let mut fp_pws = ParDecodeWorkspace::new();
-                let mut int_pws = ParQuantWorkspace::new();
-                let fp = time_decode(
-                    cfg.vocab_size,
-                    par_batch,
-                    warmup,
-                    args.steps,
-                    &mut states,
-                    |items, states| {
-                        model
-                            .forward_step_batch_indexed_par_with(items, states, &pool, &mut fp_pws)
-                            .expect("fp par step");
-                    },
-                );
-                let int = time_decode(
-                    cfg.vocab_size,
-                    par_batch,
-                    warmup,
-                    args.steps,
-                    &mut states,
-                    |items, states| {
-                        q_int
-                            .forward_step_batch_indexed_par_with(items, states, &pool, &mut int_pws)
-                            .expect("integer par step");
-                    },
-                );
-                (fp, int)
-            };
-            fp_par_tps.push(fp);
-            int_par_tps.push(int);
+            fp_par_tps.push(time_decode(
+                &model,
+                par_batch,
+                warmup,
+                args.steps,
+                &mut states,
+                &pool,
+            ));
+            int_par_tps.push(time_decode(
+                &q_int,
+                par_batch,
+                warmup,
+                args.steps,
+                &mut states,
+                &pool,
+            ));
         }
         let rows: Vec<Vec<String>> = sweep
             .iter()

@@ -10,10 +10,10 @@
 
 use std::time::Instant;
 
-use lightmamba_model::{MambaConfig, MambaModel, ModelState};
+use lightmamba_model::{advance, AdvanceWorkspace, LogitsBuf, MambaConfig, MambaModel, ModelState};
 use lightmamba_pool::WorkerPool;
-use lightmamba_quant::qmodel::{ExecMode, Precision, QuantWorkspace};
-use lightmamba_quant::{ParQuantWorkspace, PreparedModel, QuantizedMamba};
+use lightmamba_quant::qmodel::{ExecMode, Precision, QuantScratch};
+use lightmamba_quant::{PreparedModel, QuantizedMamba};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -21,27 +21,37 @@ const BATCH: usize = 16;
 const WARMUP: usize = 6;
 const STEPS: usize = 24;
 
-fn tok_s<F: FnMut(&[(usize, u32)], &mut [ModelState])>(
+/// Decode tokens/s of batch-`BATCH` single-token advances on `pool`.
+fn tok_s(
+    q: &QuantizedMamba,
     vocab: usize,
     states: &mut [ModelState],
-    mut step: F,
+    pool: &WorkerPool,
+    ws: &mut AdvanceWorkspace<QuantScratch>,
 ) -> f64 {
     for st in states.iter_mut() {
         st.reset();
     }
-    let mut items: Vec<(usize, u32)> = (0..BATCH).map(|k| (k, 0u32)).collect();
-    let mut tick = |t: usize, states: &mut [ModelState]| {
-        for (k, item) in items.iter_mut().enumerate() {
-            item.1 = ((t * 7 + k * 13) % vocab) as u32;
-        }
-        step(&items, states);
-    };
-    for t in 0..WARMUP {
-        tick(t, states);
+    // Every tick's tokens, laid out before the clock starts.
+    let tokens: Vec<u32> = (0..WARMUP + STEPS)
+        .flat_map(|t| (0..BATCH).map(move |k| ((t * 7 + k * 13) % vocab) as u32))
+        .collect();
+    let ticks: Vec<Vec<(usize, &[u32])>> = tokens
+        .chunks(BATCH)
+        .map(|tick| {
+            tick.iter()
+                .enumerate()
+                .map(|(k, t)| (k, std::slice::from_ref(t)))
+                .collect()
+        })
+        .collect();
+    let mut out = LogitsBuf::new();
+    for items in &ticks[..WARMUP] {
+        advance(q, items, states, pool, ws, &mut out).unwrap();
     }
     let start = Instant::now();
-    for t in 0..STEPS {
-        tick(WARMUP + t, states);
+    for items in &ticks[WARMUP..] {
+        advance(q, items, states, pool, ws, &mut out).unwrap();
     }
     (BATCH * STEPS) as f64 / start.elapsed().as_secs_f64()
 }
@@ -76,23 +86,21 @@ fn four_thread_integer_decode_reaches_2_5x() {
     assert_eq!(q.exec_mode(), ExecMode::Integer);
 
     let mut states: Vec<ModelState> = (0..BATCH).map(|_| q.new_state()).collect();
-    let mut seq_ws = QuantWorkspace::new();
-    let seq = tok_s(cfg.vocab_size, &mut states, |items, states| {
-        q.forward_step_batch_indexed_with(items, states, &mut seq_ws)
-            .unwrap();
-    });
+    let mut seq_ws = AdvanceWorkspace::new();
+    let seq = tok_s(
+        &q,
+        cfg.vocab_size,
+        &mut states,
+        &WorkerPool::new(1),
+        &mut seq_ws,
+    );
 
     let pool = WorkerPool::new(4);
-    let mut par_ws = ParQuantWorkspace::new();
+    let mut par_ws = AdvanceWorkspace::new();
     // Best of 3: one scheduler hiccup on a shared runner must not fail
     // the floor.
     let par = (0..3)
-        .map(|_| {
-            tok_s(cfg.vocab_size, &mut states, |items, states| {
-                q.forward_step_batch_indexed_par_with(items, states, &pool, &mut par_ws)
-                    .unwrap();
-            })
-        })
+        .map(|_| tok_s(&q, cfg.vocab_size, &mut states, &pool, &mut par_ws))
         .fold(0.0f64, f64::max);
 
     let scaling = par / seq;

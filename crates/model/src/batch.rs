@@ -1,123 +1,303 @@
-//! Batched decode over independent sequences.
+//! The batched advance: the one seam every execution path reaches
+//! batched decode and chunked prefill through.
 //!
 //! Mamba2 sequences share no cross-sequence state, so a batched step is
 //! semantically just N independent [`MambaModel::forward_step`] calls.
-//! The implementation here reorders the loops — *layer outer, sequence
-//! inner* — so each block's weights are touched once per step no matter
-//! how many sequences are resident. That is the software analogue of the
-//! accelerator's shared weight stream (`lightmamba_accel::batch`) and the
-//! hot path `lightmamba_serve`'s continuous batcher drives.
+//! [`advance`] reorders the loops — *layer outer, sequence inner* — so
+//! each block's weights are touched once per token position no matter
+//! how many sequences are resident. That is the software analogue of
+//! the accelerator's shared weight stream (`lightmamba_accel::batch`)
+//! and the hot path `lightmamba_serve`'s continuous batcher drives.
 //!
-//! Per-sequence arithmetic is performed in exactly the same order as the
-//! single-stream path, so batched logits are bit-for-bit identical to
-//! sequential decode — a property the serve crate's tests pin down.
+//! One call advances a *ragged* batch: `items[k] = (state_index,
+//! tokens)` feeds one token (a decode step) or several (a prefill
+//! chunk) into `states[state_index]`, and row `k` of the caller's
+//! [`LogitsBuf`] receives the logits after that item's last token. The
+//! final norm and LM head run only at that position; earlier positions
+//! change no state and leave nothing behind, since each position
+//! re-embeds into the residual buffer.
 //!
-//! The orchestration (up-front validation so no state is half-advanced,
-//! the layer-outer sweep, ragged prefill) is exposed as generic drivers
-//! ([`validate_batch_items`], [`drive_step_batch_indexed`],
-//! [`drive_prefill_batch`]) so every execution path with the Mamba2
-//! decode contract — the FP model here, the quantized model in
-//! `lightmamba_quant` — shares one implementation and the guarantees
-//! cannot drift between them.
+//! The guarantees, identical for every execution path because each one
+//! only supplies [`StepKernels`]:
 //!
-//! The steady-state hot path is the workspace-threaded variant
-//! ([`drive_step_batch_indexed_into`] over a [`StepWorkspace`]): every
-//! temporary a step needs — residual streams, logits, the validation
-//! bitmap, the per-block kernel scratch — lives in a reusable workspace,
-//! so decode performs **zero heap allocations** once warmed up (pinned
-//! by a counting-allocator test). The allocating APIs remain as
-//! convenience wrappers and are bit-identical.
+//! * **No half-advanced state.** The whole batch — indices, duplicates,
+//!   state shapes, every token of every item, empty slices — is
+//!   validated before any state is touched.
+//! * **Bit-identical to sequential decode.** Per-sequence arithmetic is
+//!   exactly the single-stream order, so batched logits match
+//!   sequential ones bit for bit — for any batch composition, chunking
+//!   and thread count.
+//! * **One path for any thread count.** The batch is sharded into
+//!   contiguous ranges on the [`WorkerPool`]; a one-thread pool runs
+//!   one shard inline through the same code.
+//! * **Zero steady-state allocations.** Residual streams and kernel
+//!   scratch live in an [`AdvanceWorkspace`], logits in the caller's
+//!   [`LogitsBuf`]; both grow to the largest batch seen and are then
+//!   reused (pinned by counting-allocator tests).
+
+use std::sync::{Mutex, PoisonError};
+
+use lightmamba_pool::WorkerPool;
 
 use crate::block::BlockScratch;
+use crate::par::{shard_range, StateShards};
+use crate::ssm::SsmDims;
 use crate::state::{LayerState, ModelState};
-use crate::{MambaConfig, MambaModel, ModelError, Result};
+use crate::{MambaConfig, MambaModel, ModelError};
 
-/// Reusable buffers for one batched decode step: per-sequence residual
-/// streams, per-sequence logits, and the validation bitmap. Buffers grow
-/// to the largest batch seen and are never shrunk, so a steady-state
-/// decode loop performs zero heap allocations after its first step.
-///
-/// This is the model-agnostic half of a decode workspace; execution
-/// paths pair it with their own kernel scratch (the FP model's
-/// [`DecodeWorkspace`], the quantized model's workspace in
-/// `lightmamba_quant`).
+/// The per-token kernels of one execution path — everything [`advance`]
+/// needs to move one sequence through one token. The FP model and the
+/// quantized model each implement it once.
+pub trait StepKernels: Sync {
+    /// Reusable kernel temporaries, one per shard.
+    type Scratch: Default + Send;
+    /// The path's error type; it must carry batch-validation errors.
+    type Error: From<ModelError> + Send;
+
+    /// The model configuration (shapes, vocabulary, depth).
+    fn config(&self) -> &MambaConfig;
+
+    /// Writes the embedding of `token` (already validated in range)
+    /// into the residual stream `x` (`d_model` long).
+    ///
+    /// # Errors
+    ///
+    /// Whatever the path's embedding lookup raises.
+    fn embed(&self, token: u32, x: &mut [f32]) -> Result<(), Self::Error>;
+
+    /// Advances one sequence through block `layer`, updating the
+    /// residual stream `x` and the layer's recurrent state in place.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the path's block kernels raise.
+    fn block(
+        &self,
+        layer: usize,
+        x: &mut [f32],
+        state: &mut LayerState,
+        scratch: &mut Self::Scratch,
+    ) -> Result<(), Self::Error>;
+
+    /// Final norm and LM head: turns the residual stream `x` (which it
+    /// may overwrite) into `logits` (`vocab_size` long).
+    ///
+    /// # Errors
+    ///
+    /// Whatever the path's head kernels raise.
+    fn head(
+        &self,
+        x: &mut [f32],
+        logits: &mut [f32],
+        scratch: &mut Self::Scratch,
+    ) -> Result<(), Self::Error>;
+}
+
+/// Caller-owned logits of one [`advance`]: one flat buffer, row `k`
+/// holding item `k`'s logits. It grows to the largest batch seen and is
+/// then reused, so reading logits out of a step allocates nothing.
 #[derive(Debug, Clone, Default)]
-pub struct StepWorkspace {
-    pub(crate) xs: Vec<Vec<f32>>,
-    pub(crate) logits: Vec<Vec<f32>>,
-    pub(crate) seen: Vec<bool>,
-    /// Number of items in the latest step (buffers may be longer).
-    pub(crate) items: usize,
+pub struct LogitsBuf {
+    data: Vec<f32>,
+    vocab: usize,
 }
 
-impl StepWorkspace {
-    /// An empty workspace; it warms up on the first step.
+impl LogitsBuf {
+    /// An empty buffer; it warms up on the first advance.
     pub fn new() -> Self {
-        StepWorkspace::default()
+        LogitsBuf::default()
     }
 
-    /// Logits produced by the latest `_into` step, index-aligned with
-    /// that step's `items` slice.
-    pub fn logits(&self) -> &[Vec<f32>] {
-        &self.logits[..self.items]
+    /// Rows written by the latest advance (one per item).
+    pub fn rows(&self) -> usize {
+        self.data.len().checked_div(self.vocab).unwrap_or(0)
     }
 
-    /// Moves the latest step's logits out (the workspace re-warms on the
-    /// next step) — used by the allocating convenience wrappers.
-    pub fn take_logits(&mut self) -> Vec<Vec<f32>> {
-        let mut v = std::mem::take(&mut self.logits);
-        v.truncate(self.items);
-        self.items = 0;
-        v
+    /// Logits of item `k` of the latest advance.
+    ///
+    /// # Panics
+    ///
+    /// If `k` is not an item index of the latest advance.
+    pub fn row(&self, k: usize) -> &[f32] {
+        assert!(k < self.rows(), "logits row {k} out of range");
+        &self.data[k * self.vocab..(k + 1) * self.vocab]
     }
 
-    pub(crate) fn prepare(&mut self, n: usize) {
-        if self.xs.len() < n {
-            self.xs.resize_with(n, Vec::new);
-        }
-        if self.logits.len() < n {
-            self.logits.resize_with(n, Vec::new);
-        }
-        self.items = n;
+    /// The rows of the latest advance, in item order.
+    pub fn iter(&self) -> impl Iterator<Item = &[f32]> + '_ {
+        (0..self.rows()).map(|k| self.row(k))
+    }
+
+    fn reshape(&mut self, rows: usize, vocab: usize) {
+        self.vocab = vocab;
+        self.data.resize(rows * vocab, 0.0);
     }
 }
 
-/// Validates a batch of `(state_index, token)` items against a model
-/// configuration: indices in bounds and unique, states shaped for `cfg`,
-/// tokens within the vocabulary. Callers run this before touching any
-/// state so a rejected batch leaves every state untouched.
-///
-/// # Errors
-///
-/// Returns [`ModelError::StateMismatch`] / [`ModelError::TokenOutOfRange`]
-/// describing the first offending item.
-pub fn validate_batch_items(
-    cfg: &MambaConfig,
-    items: &[(usize, u32)],
-    states: &[ModelState],
-) -> std::result::Result<(), ModelError> {
-    validate_batch_items_with(cfg, items, states, &mut Vec::new())
+/// Reusable buffers of [`advance`]: the validation bitmap plus, per
+/// shard, the residual streams and the path's kernel scratch. Grows to
+/// the largest batch and pool width seen, then steady-state advances
+/// allocate nothing.
+#[derive(Debug, Clone)]
+pub struct AdvanceWorkspace<S> {
+    seen: Vec<bool>,
+    shards: Vec<Shard<S>>,
 }
 
-/// [`validate_batch_items`] with a caller-provided uniqueness bitmap, so
-/// the per-step hot path validates without allocating (`seen` is cleared
-/// and resized to `states.len()` in place).
+impl<S> Default for AdvanceWorkspace<S> {
+    fn default() -> Self {
+        AdvanceWorkspace {
+            seen: Vec::new(),
+            shards: Vec::new(),
+        }
+    }
+}
+
+impl<S> AdvanceWorkspace<S> {
+    /// An empty workspace; it warms up on the first advance.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// One shard's private buffers: its items' residual streams (flat,
+/// `d_model` per item) and the kernel scratch.
+#[derive(Debug, Clone, Default)]
+struct Shard<S> {
+    xs: Vec<f32>,
+    scratch: S,
+}
+
+/// Advances a ragged batch: `items[k] = (state_index, tokens)` feeds
+/// `tokens` into `states[state_index]` and writes the logits after the
+/// last of them into row `k` of `out`. States not named in `items` are
+/// untouched. The batch is split into `pool.threads().min(items.len())`
+/// contiguous shards, each running the layer-outer / sequence-inner
+/// sweep over its items on its own thread.
 ///
 /// # Errors
 ///
-/// Same conditions as [`validate_batch_items`].
-pub fn validate_batch_items_with(
+/// [`ModelError::StateMismatch`] for an out-of-range or repeated index
+/// or a state shaped for another config, [`ModelError::TokenOutOfRange`]
+/// for any token outside the vocabulary, and [`ModelError::InvalidConfig`]
+/// for an item with no tokens — all raised before any state changes.
+/// Kernel errors propagate; when several shards fail, the lowest
+/// shard's error is returned so the result does not depend on thread
+/// scheduling.
+///
+/// # Panics
+///
+/// A panic inside the kernels is re-raised after every shard finished
+/// (see `WorkerPool::run_over`).
+pub fn advance<K: StepKernels>(
+    kernels: &K,
+    items: &[(usize, &[u32])],
+    states: &mut [ModelState],
+    pool: &WorkerPool,
+    ws: &mut AdvanceWorkspace<K::Scratch>,
+    out: &mut LogitsBuf,
+) -> Result<(), K::Error> {
+    let cfg = kernels.config();
+    validate(cfg, items, states, &mut ws.seen)?;
+    let vocab = cfg.vocab_size;
+    out.reshape(items.len(), vocab);
+    let shards = pool.threads().min(items.len());
+    if shards == 0 {
+        return Ok(());
+    }
+    if ws.shards.len() < shards {
+        ws.shards.resize_with(shards, Shard::default);
+    }
+    let states = StateShards::new(states);
+    let rows = StateShards::new(&mut out.data[..]);
+    let first_err: Mutex<Option<(usize, K::Error)>> = Mutex::new(None);
+    pool.run_over(&mut ws.shards[..shards], |k, shard| {
+        let range = shard_range(k, shards, items.len());
+        // SAFETY: validation checked every state index is in bounds
+        // and unique, `out` was just sized to `items.len() * vocab`,
+        // and the shard ranges partition the items, so this shard
+        // alone touches its items' states and logits rows.
+        let result = unsafe {
+            let logits = rows.range_mut(range.start * vocab..range.end * vocab);
+            shard.run(kernels, &items[range], &states, logits)
+        };
+        if let Err(e) = result {
+            let mut slot = first_err.lock().unwrap_or_else(PoisonError::into_inner);
+            // Keep the lowest-shard error (MSRV 1.75: no `is_none_or`).
+            if !matches!(slot.as_ref(), Some(&(j, _)) if j < k) {
+                *slot = Some((k, e));
+            }
+        }
+    });
+    match first_err
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
+    }
+}
+
+impl<S> Shard<S> {
+    /// The layer-outer / sequence-inner sweep over one shard's items,
+    /// one token position at a time.
+    ///
+    /// # Safety
+    ///
+    /// Every state index in `items` must be in bounds of `states`, and no
+    /// concurrent caller may touch those states.
+    unsafe fn run<K: StepKernels<Scratch = S>>(
+        &mut self,
+        kernels: &K,
+        items: &[(usize, &[u32])],
+        states: &StateShards<'_>,
+        logits: &mut [f32],
+    ) -> Result<(), K::Error> {
+        let cfg = kernels.config();
+        let d = cfg.d_model;
+        self.xs.resize(items.len() * d, 0.0);
+        let positions = items.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
+        for pos in 0..positions {
+            for (&(_, tokens), x) in items.iter().zip(self.xs.chunks_exact_mut(d)) {
+                if let Some(&token) = tokens.get(pos) {
+                    kernels.embed(token, x)?;
+                }
+            }
+            for layer in 0..cfg.n_layer {
+                for (&(slot, tokens), x) in items.iter().zip(self.xs.chunks_exact_mut(d)) {
+                    if pos < tokens.len() {
+                        // SAFETY: forwarded from this function's contract.
+                        let state = unsafe { states.state_mut(slot) };
+                        kernels.block(layer, x, &mut state.layers[layer], &mut self.scratch)?;
+                    }
+                }
+            }
+            let rows = logits.chunks_exact_mut(cfg.vocab_size);
+            for ((&(_, tokens), x), row) in items.iter().zip(self.xs.chunks_exact_mut(d)).zip(rows)
+            {
+                if pos + 1 == tokens.len() {
+                    kernels.head(x, row, &mut self.scratch)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Checks the whole batch against `cfg` before anything runs: indices
+/// in bounds and unique, states shaped for `cfg`, at least one token per
+/// item, every token inside the vocabulary. `seen` is the reusable
+/// uniqueness bitmap.
+fn validate(
     cfg: &MambaConfig,
-    items: &[(usize, u32)],
+    items: &[(usize, &[u32])],
     states: &[ModelState],
     seen: &mut Vec<bool>,
-) -> std::result::Result<(), ModelError> {
-    let dims = crate::ssm::SsmDims::new(cfg);
-    let conv_dim = cfg.conv_dim();
-    let d_conv = cfg.d_conv;
+) -> Result<(), ModelError> {
+    let state_len = SsmDims::new(cfg).state_len();
     seen.clear();
     seen.resize(states.len(), false);
-    for &(slot, token) in items {
+    for &(slot, tokens) in items {
         let state = states.get(slot).ok_or_else(|| {
             ModelError::StateMismatch(format!(
                 "batch references state {slot}, only {} exist",
@@ -126,7 +306,7 @@ pub fn validate_batch_items_with(
         })?;
         if std::mem::replace(&mut seen[slot], true) {
             return Err(ModelError::StateMismatch(format!(
-                "state {slot} appears twice in one batch step"
+                "state {slot} appears twice in one batch"
             )));
         }
         if state.layers.len() != cfg.n_layer {
@@ -137,16 +317,21 @@ pub fn validate_batch_items_with(
             )));
         }
         for (li, layer) in state.layers.iter().enumerate() {
-            if layer.h.len() != dims.state_len()
-                || layer.conv.channels() != conv_dim
-                || layer.conv.kernel() != d_conv
+            if layer.h.len() != state_len
+                || layer.conv.channels() != cfg.conv_dim()
+                || layer.conv.kernel() != cfg.d_conv
             {
                 return Err(ModelError::StateMismatch(format!(
                     "state {slot} layer {li} shaped for a different config"
                 )));
             }
         }
-        if token as usize >= cfg.vocab_size {
+        if tokens.is_empty() {
+            return Err(ModelError::InvalidConfig(format!(
+                "advance of state {slot} was given no tokens"
+            )));
+        }
+        if let Some(&token) = tokens.iter().find(|&&t| t as usize >= cfg.vocab_size) {
             return Err(ModelError::TokenOutOfRange {
                 token,
                 vocab: cfg.vocab_size,
@@ -156,364 +341,38 @@ pub fn validate_batch_items_with(
     Ok(())
 }
 
-/// Drives one batched decode step generically: validate everything up
-/// front (no state is half-advanced on error), `embed` every token, then
-/// sweep layer-outer / sequence-inner so each block's weights are
-/// touched once per step, and `finish` (final norm + LM head) each
-/// sequence. `block_step(layer, x, lstate)` advances one sequence
-/// through one block in place. Results are returned in `items` order.
-///
-/// # Errors
-///
-/// The conditions of [`validate_batch_items`], plus whatever the
-/// closures raise.
-pub fn drive_step_batch_indexed<E, Emb, Blk, Fin>(
-    cfg: &MambaConfig,
-    items: &[(usize, u32)],
-    states: &mut [ModelState],
-    mut embed: Emb,
-    mut block_step: Blk,
-    mut finish: Fin,
-) -> std::result::Result<Vec<(usize, Vec<f32>)>, E>
-where
-    E: From<ModelError>,
-    Emb: FnMut(u32) -> std::result::Result<Vec<f32>, E>,
-    Blk: FnMut(usize, &mut Vec<f32>, &mut LayerState) -> std::result::Result<(), E>,
-    Fin: FnMut(Vec<f32>) -> std::result::Result<Vec<f32>, E>,
-{
-    let mut ws = StepWorkspace::new();
-    drive_step_batch_indexed_into(
-        cfg,
-        items,
-        states,
-        &mut ws,
-        |token, buf| {
-            *buf = embed(token)?;
-            Ok(())
-        },
-        |layer, x, lstate| block_step(layer, x, lstate),
-        |x, out| {
-            *out = finish(std::mem::take(x))?;
-            Ok(())
-        },
-    )?;
-    Ok(items
-        .iter()
-        .map(|&(slot, _)| slot)
-        .zip(ws.take_logits())
-        .collect())
-}
+impl StepKernels for MambaModel {
+    type Scratch = BlockScratch;
+    type Error = ModelError;
 
-/// The workspace-threaded form of [`drive_step_batch_indexed`]: every
-/// buffer the step needs lives in `ws` and in the closures' captured
-/// scratch, so a steady-state decode loop allocates nothing. Results
-/// land in `ws.logits()`, index-aligned with `items`.
-///
-/// Closure contract: `embed(token, buf)` fills `buf` with the embedded
-/// token (reusing its capacity); `block_step(layer, x, lstate)` advances
-/// one sequence through one block in place; `finish(x, logits)` turns
-/// the final residual stream into logits, reusing `logits`' capacity.
-///
-/// # Errors
-///
-/// The conditions of [`validate_batch_items`], plus whatever the
-/// closures raise.
-pub fn drive_step_batch_indexed_into<E, Emb, Blk, Fin>(
-    cfg: &MambaConfig,
-    items: &[(usize, u32)],
-    states: &mut [ModelState],
-    ws: &mut StepWorkspace,
-    mut embed: Emb,
-    mut block_step: Blk,
-    mut finish: Fin,
-) -> std::result::Result<(), E>
-where
-    E: From<ModelError>,
-    Emb: FnMut(u32, &mut Vec<f32>) -> std::result::Result<(), E>,
-    Blk: FnMut(usize, &mut Vec<f32>, &mut LayerState) -> std::result::Result<(), E>,
-    Fin: FnMut(&mut Vec<f32>, &mut Vec<f32>) -> std::result::Result<(), E>,
-{
-    validate_batch_items_with(cfg, items, states, &mut ws.seen)?;
-    ws.prepare(items.len());
-    for (x, &(_, token)) in ws.xs.iter_mut().zip(items) {
-        embed(token, x)?;
-    }
-    for layer in 0..cfg.n_layer {
-        for (x, &(slot, _)) in ws.xs.iter_mut().zip(items) {
-            block_step(layer, x, &mut states[slot].layers[layer])?;
-        }
-    }
-    for (x, logits) in ws.xs.iter_mut().zip(ws.logits.iter_mut()).take(items.len()) {
-        finish(x, logits)?;
-    }
-    Ok(())
-}
-
-/// Drives batched ragged prefill generically: consumes `prompts[k]` into
-/// `states[k]` position-by-position through `step_batch` (all sequences
-/// advance together, sharing each layer's weights per position) and
-/// returns each sequence's logits after its final prompt token.
-///
-/// # Errors
-///
-/// Returns [`ModelError::InvalidConfig`] when any prompt is empty or the
-/// slice lengths disagree; propagates step errors.
-pub fn drive_prefill_batch<E, Step>(
-    prompts: &[&[u32]],
-    states: &mut [ModelState],
-    mut step_batch: Step,
-) -> std::result::Result<Vec<Vec<f32>>, E>
-where
-    E: From<ModelError>,
-    Step:
-        FnMut(&[(usize, u32)], &mut [ModelState]) -> std::result::Result<Vec<(usize, Vec<f32>)>, E>,
-{
-    validate_prefill(prompts, states)?;
-    let max_len = prompts.iter().map(|p| p.len()).max().unwrap_or(0);
-    let mut finals: Vec<Option<Vec<f32>>> = vec![None; prompts.len()];
-    for pos in 0..max_len {
-        let items: Vec<(usize, u32)> = prompts
-            .iter()
-            .enumerate()
-            .filter_map(|(k, p)| p.get(pos).map(|&t| (k, t)))
-            .collect();
-        for (slot, logits) in step_batch(&items, states)? {
-            if pos + 1 == prompts[slot].len() {
-                finals[slot] = Some(logits);
-            }
-        }
-    }
-    Ok(finals
-        .into_iter()
-        .map(|l| l.expect("prompt non-empty"))
-        .collect())
-}
-
-/// The workspace-threaded form of [`drive_prefill_batch`], shared by
-/// the FP and quantized models: consumes `prompts[k]` into `states[k]`
-/// position-by-position through `step(items, states, ws)`, reusing `ws`
-/// across positions, and captures each sequence's final-position logits
-/// via `final_logits(ws, j)` (index `j` is the item's position within
-/// that step's batch). Only the captured finals allocate.
-///
-/// # Errors
-///
-/// The conditions of [`validate_prefill`]; propagates step errors.
-pub fn drive_prefill_batch_with<E, W, Step, Logit>(
-    prompts: &[&[u32]],
-    states: &mut [ModelState],
-    ws: &mut W,
-    mut step: Step,
-    mut final_logits: Logit,
-) -> std::result::Result<Vec<Vec<f32>>, E>
-where
-    E: From<ModelError>,
-    Step: FnMut(&[(usize, u32)], &mut [ModelState], &mut W) -> std::result::Result<(), E>,
-    Logit: FnMut(&W, usize) -> Vec<f32>,
-{
-    validate_prefill(prompts, states)?;
-    let max_len = prompts.iter().map(|p| p.len()).max().unwrap_or(0);
-    let mut finals: Vec<Option<Vec<f32>>> = vec![None; prompts.len()];
-    let mut items: Vec<(usize, u32)> = Vec::new();
-    for pos in 0..max_len {
-        items.clear();
-        items.extend(
-            prompts
-                .iter()
-                .enumerate()
-                .filter_map(|(k, p)| p.get(pos).map(|&t| (k, t))),
-        );
-        step(&items, states, ws)?;
-        for (j, &(slot, _)) in items.iter().enumerate() {
-            if pos + 1 == prompts[slot].len() {
-                finals[slot] = Some(final_logits(ws, j));
-            }
-        }
-    }
-    Ok(finals
-        .into_iter()
-        .map(|l| l.expect("prompt non-empty"))
-        .collect())
-}
-
-/// Shared ragged-prefill validation: parallel slices, no empty prompt.
-///
-/// # Errors
-///
-/// Returns [`ModelError::InvalidConfig`] describing the violation.
-pub fn validate_prefill(
-    prompts: &[&[u32]],
-    states: &[ModelState],
-) -> std::result::Result<(), ModelError> {
-    if prompts.len() != states.len() {
-        return Err(ModelError::InvalidConfig(format!(
-            "{} prompts for {} states",
-            prompts.len(),
-            states.len()
-        )));
-    }
-    if prompts.iter().any(|p| p.is_empty()) {
-        return Err(ModelError::InvalidConfig(
-            "prefill needs at least one token per prompt".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// The FP reference model's decode workspace: the batch-level buffers
-/// plus the per-block kernel scratch. One workspace serves any batch
-/// size; it grows to the largest batch seen and is then allocation-free.
-#[derive(Debug, Clone, Default)]
-pub struct DecodeWorkspace {
-    pub(crate) step: StepWorkspace,
-    pub(crate) scratch: BlockScratch,
-}
-
-impl DecodeWorkspace {
-    /// An empty workspace; it warms up on the first step.
-    pub fn new() -> Self {
-        DecodeWorkspace::default()
+    fn config(&self) -> &MambaConfig {
+        MambaModel::config(self)
     }
 
-    /// Logits of the latest [`MambaModel::forward_step_batch_indexed_with`]
-    /// call, index-aligned with its `items`.
-    pub fn logits(&self) -> &[Vec<f32>] {
-        self.step.logits()
+    fn embed(&self, token: u32, x: &mut [f32]) -> Result<(), ModelError> {
+        x.copy_from_slice(self.embedding().row(token as usize)?);
+        Ok(())
     }
-}
 
-impl MambaModel {
-    /// Workspace-threaded batched decode step: like
-    /// [`MambaModel::forward_step_batch_indexed`], but every temporary
-    /// lives in `ws`, so a steady-state decode loop performs zero heap
-    /// allocations (pinned by the `no_alloc` integration test). Logits
-    /// land in `ws.logits()`, index-aligned with `items`; outputs are
-    /// bit-identical to the allocating path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MambaModel::forward_step_batch_indexed`].
-    pub fn forward_step_batch_indexed_with(
+    fn block(
         &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-        ws: &mut DecodeWorkspace,
-    ) -> Result<()> {
-        let scratch = &mut ws.scratch;
-        let vocab = self.config().vocab_size;
-        drive_step_batch_indexed_into(
-            self.config(),
-            items,
-            states,
-            &mut ws.step,
-            |token, buf| {
-                let row = self.embedding().row(token as usize)?;
-                buf.clear();
-                buf.extend_from_slice(row);
-                Ok(())
-            },
-            |layer, x, lstate| self.blocks()[layer].forward_step_into(x, lstate, scratch),
-            |x, logits| {
-                lightmamba_tensor::norm::rms_norm(x, self.final_norm_gamma(), 1e-5);
-                logits.resize(vocab, 0.0);
-                Ok(self.embedding().matvec_into(x, logits)?)
-            },
-        )
+        layer: usize,
+        x: &mut [f32],
+        state: &mut LayerState,
+        scratch: &mut BlockScratch,
+    ) -> Result<(), ModelError> {
+        self.blocks()[layer].forward_step_into(x, state, scratch)
     }
 
-    /// Workspace-threaded ragged prefill: consumes `prompts[k]` into
-    /// `states[k]` position-by-position reusing `ws` across positions,
-    /// and returns each sequence's logits after its final prompt token.
-    /// Only the returned finals allocate (once per sequence).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MambaModel::prefill_batch`].
-    pub fn prefill_batch_with(
+    fn head(
         &self,
-        prompts: &[&[u32]],
-        states: &mut [ModelState],
-        ws: &mut DecodeWorkspace,
-    ) -> Result<Vec<Vec<f32>>> {
-        drive_prefill_batch_with(
-            prompts,
-            states,
-            ws,
-            |items, states, ws| self.forward_step_batch_indexed_with(items, states, ws),
-            |ws, j| ws.logits()[j].clone(),
-        )
-    }
-
-    /// One decode step for a batch: `items[k] = (state_index, token)`
-    /// advances `states[state_index]` by `token` and yields that
-    /// sequence's next-token logits as `(state_index, logits)`.
-    ///
-    /// Indices select which resident sequences participate this step —
-    /// exactly what a continuous batcher needs when sequences join and
-    /// leave mid-flight. Results are returned in `items` order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::StateMismatch`] when an index is out of
-    /// bounds or repeated, and [`ModelError::TokenOutOfRange`] for
-    /// invalid tokens. States are not advanced on error.
-    pub fn forward_step_batch_indexed(
-        &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>> {
-        let mut ws = DecodeWorkspace::new();
-        self.forward_step_batch_indexed_with(items, states, &mut ws)?;
-        Ok(items
-            .iter()
-            .map(|&(slot, _)| slot)
-            .zip(ws.step.take_logits())
-            .collect())
-    }
-
-    /// One decode step for every sequence: `tokens` and `states` are
-    /// parallel slices. Returns one logits vector per sequence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::StateMismatch`] when the slices disagree in
-    /// length, plus the conditions of
-    /// [`MambaModel::forward_step_batch_indexed`].
-    pub fn forward_step_batch(
-        &self,
-        tokens: &[u32],
-        states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>> {
-        if tokens.len() != states.len() {
-            return Err(ModelError::StateMismatch(format!(
-                "{} tokens for {} states",
-                tokens.len(),
-                states.len()
-            )));
-        }
-        let items: Vec<(usize, u32)> = tokens.iter().copied().enumerate().collect();
-        Ok(self
-            .forward_step_batch_indexed(&items, states)?
-            .into_iter()
-            .map(|(_, logits)| logits)
-            .collect())
-    }
-
-    /// Batched prefill over ragged prompts: consumes `prompts[k]` into
-    /// `states[k]` position-by-position (all sequences advance together,
-    /// sharing each layer's weights per position) and returns each
-    /// sequence's logits after its final prompt token.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidConfig`] when any prompt is empty or
-    /// the slice lengths disagree; propagates step errors.
-    pub fn prefill_batch(
-        &self,
-        prompts: &[&[u32]],
-        states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>> {
-        self.prefill_batch_with(prompts, states, &mut DecodeWorkspace::new())
+        x: &mut [f32],
+        logits: &mut [f32],
+        _scratch: &mut BlockScratch,
+    ) -> Result<(), ModelError> {
+        lightmamba_tensor::norm::rms_norm(x, self.final_norm_gamma(), 1e-5);
+        // Tied LM head: logits = E · x.
+        Ok(self.embedding().matvec_into(x, logits)?)
     }
 }
 
@@ -526,6 +385,25 @@ mod tests {
 
     fn tiny_model() -> MambaModel {
         MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(9)).unwrap()
+    }
+
+    /// One single-thread advance, logits copied out per item.
+    fn run(
+        m: &MambaModel,
+        items: &[(usize, &[u32])],
+        states: &mut [ModelState],
+    ) -> Result<Vec<Vec<f32>>, ModelError> {
+        let mut out = LogitsBuf::new();
+        let pool = WorkerPool::new(1);
+        advance(
+            m,
+            items,
+            states,
+            &pool,
+            &mut AdvanceWorkspace::new(),
+            &mut out,
+        )?;
+        Ok(out.iter().map(<[f32]>::to_vec).collect())
     }
 
     #[test]
@@ -541,10 +419,11 @@ mod tests {
             seq_logits.push(m.forward_step(0, &mut seq_states[k]).unwrap());
         }
 
-        // Batched path.
+        // Batched path: one ragged prefill advance, one decode advance.
         let mut states: Vec<_> = (0..3).map(|_| m.new_state()).collect();
-        m.prefill_batch(&prompts, &mut states).unwrap();
-        let batched = m.forward_step_batch(&[0, 0, 0], &mut states).unwrap();
+        let prefill: Vec<(usize, &[u32])> = prompts.iter().copied().enumerate().collect();
+        run(&m, &prefill, &mut states).unwrap();
+        let batched = run(&m, &[(0, &[0]), (1, &[0]), (2, &[0])], &mut states).unwrap();
 
         for k in 0..3 {
             assert_eq!(batched[k], seq_logits[k], "sequence {k} diverged");
@@ -553,11 +432,12 @@ mod tests {
     }
 
     #[test]
-    fn prefill_batch_matches_prefill() {
+    fn ragged_prefill_matches_prefill() {
         let m = tiny_model();
         let prompts: [&[u32]; 2] = [&[1, 2, 3, 4], &[200, 100]];
         let mut states: Vec<_> = (0..2).map(|_| m.new_state()).collect();
-        let batched = m.prefill_batch(&prompts, &mut states).unwrap();
+        let items: Vec<(usize, &[u32])> = prompts.iter().copied().enumerate().collect();
+        let batched = run(&m, &items, &mut states).unwrap();
         for (k, p) in prompts.iter().enumerate() {
             let mut st = m.new_state();
             let single = m.prefill(p, &mut st).unwrap();
@@ -570,12 +450,11 @@ mod tests {
         let m = tiny_model();
         let mut states: Vec<_> = (0..3).map(|_| m.new_state()).collect();
         let untouched = states[1].clone();
-        let out = m
-            .forward_step_batch_indexed(&[(2, 4), (0, 9)], &mut states)
-            .unwrap();
+        let out = run(&m, &[(2, &[4]), (0, &[9])], &mut states).unwrap();
         assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, 2);
-        assert_eq!(out[1].0, 0);
+        let mut solo = m.new_state();
+        assert_eq!(out[0], m.forward_step(4, &mut solo).unwrap());
+        assert_eq!(states[2], solo);
         assert_eq!(states[1], untouched);
         assert_ne!(states[0], untouched);
     }
@@ -585,7 +464,7 @@ mod tests {
         let m = tiny_model();
         let mut states: Vec<_> = (0..2).map(|_| m.new_state()).collect();
         let before = states.clone();
-        let err = m.forward_step_batch_indexed(&[(0, 1), (0, 2)], &mut states);
+        let err = run(&m, &[(0, &[1]), (0, &[2])], &mut states);
         assert!(matches!(err, Err(ModelError::StateMismatch(_))));
         assert_eq!(states, before, "states must be untouched on error");
     }
@@ -599,7 +478,7 @@ mod tests {
         let other = MambaModel::synthetic(other_cfg, &mut StdRng::seed_from_u64(2)).unwrap();
         let mut states = vec![m.new_state(), other.new_state()];
         let before = states.clone();
-        let err = m.forward_step_batch_indexed(&[(0, 1), (1, 2)], &mut states);
+        let err = run(&m, &[(0, &[1]), (1, &[2])], &mut states);
         assert!(matches!(err, Err(ModelError::StateMismatch(_))));
         assert_eq!(states, before, "states must be untouched on error");
     }
@@ -610,7 +489,11 @@ mod tests {
         let bad = m.config().vocab_size as u32;
         let mut states: Vec<_> = (0..2).map(|_| m.new_state()).collect();
         let before = states.clone();
-        let err = m.forward_step_batch_indexed(&[(0, 1), (1, bad)], &mut states);
+        let err = run(&m, &[(0, &[1]), (1, &[bad])], &mut states);
+        assert!(matches!(err, Err(ModelError::TokenOutOfRange { .. })));
+        assert_eq!(states, before);
+        // A bad token deep inside a chunk is caught up front too.
+        let err = run(&m, &[(0, &[1, 2, 3]), (1, &[4, 5, bad])], &mut states);
         assert!(matches!(err, Err(ModelError::TokenOutOfRange { .. })));
         assert_eq!(states, before);
     }
@@ -619,15 +502,17 @@ mod tests {
     fn empty_batch_is_a_noop() {
         let m = tiny_model();
         let mut states: Vec<ModelState> = Vec::new();
-        let out = m.forward_step_batch(&[], &mut states).unwrap();
+        let out = run(&m, &[], &mut states).unwrap();
         assert!(out.is_empty());
     }
 
     #[test]
     fn empty_prompt_in_batch_rejected() {
         let m = tiny_model();
-        let prompts: [&[u32]; 2] = [&[1], &[]];
         let mut states: Vec<_> = (0..2).map(|_| m.new_state()).collect();
-        assert!(m.prefill_batch(&prompts, &mut states).is_err());
+        let before = states.clone();
+        let err = run(&m, &[(0, &[1]), (1, &[])], &mut states);
+        assert!(matches!(err, Err(ModelError::InvalidConfig(_))));
+        assert_eq!(states, before);
     }
 }

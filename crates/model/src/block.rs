@@ -123,8 +123,8 @@ impl MambaBlock {
     /// Allocation-free [`MambaBlock::forward_step`]: updates the residual
     /// stream `x` in place using `scratch` for every temporary. The
     /// capturing path runs this same pipeline (it is the same code), so
-    /// outputs are bit-for-bit identical — the batched decode drivers
-    /// rely on this.
+    /// outputs are bit-for-bit identical — the batched advance
+    /// ([`crate::batch::advance`]) relies on this.
     ///
     /// # Errors
     ///

@@ -48,12 +48,12 @@ pub mod synth;
 pub mod transformer;
 pub mod weights;
 
-pub use batch::{DecodeWorkspace, StepWorkspace};
+pub use batch::{advance, AdvanceWorkspace, LogitsBuf, StepKernels};
 pub use block::{BlockCapture, BlockScratch, MambaBlock};
 pub use config::{MambaConfig, ModelPreset};
 pub use error::ModelError;
 pub use model::{Capture, MambaModel};
-pub use par::{ParDecodeWorkspace, ShardPlan, StateShards};
+pub use par::StateShards;
 pub use state::{LayerState, ModelState};
 pub use weights::{BlockWeights, ModelWeights};
 

@@ -1,72 +1,71 @@
-//! Multi-core batched decode: sharding one step across a worker pool.
+//! Sharding one batched advance across a worker pool.
 //!
 //! Mamba2 sequences share no cross-sequence state, so after the up-front
 //! batch validation (indices in bounds and *unique*, shapes checked) a
-//! batched step decomposes into independent per-sequence sweeps. This
-//! module shards the validated batch into contiguous ranges — one per
-//! pool thread — and runs each shard's weight-stationary sweep on its
-//! own thread with its own workspace.
+//! batched advance decomposes into independent per-sequence sweeps.
+//! [`advance`](crate::batch::advance) splits the validated batch into
+//! contiguous ranges ([`shard_range`]) — one per pool thread — and runs
+//! each shard's weight-stationary sweep on its own thread with its own
+//! workspace.
 //!
 //! # Determinism
 //!
 //! Per-sequence arithmetic is untouched: each shard runs exactly the
-//! sequential layer-outer / sequence-inner loop of
-//! [`drive_step_batch_indexed_into`](crate::batch::drive_step_batch_indexed_into)
-//! over its slice. Sequences never interact, shard boundaries only split
-//! the *iteration* (never a sequence), and every sequence writes its own
-//! state and logits slot. Logits and states are therefore **bit-identical
-//! for any thread count**, regardless of how the OS schedules the
-//! workers — pinned by proptests in `lightmamba_serve`.
+//! layer-outer / sequence-inner loop over its slice. Sequences never
+//! interact, shard boundaries only split the *iteration* (never a
+//! sequence), and every sequence writes its own state and logits row.
+//! Logits and states are therefore **bit-identical for any thread
+//! count**, regardless of how the OS schedules the workers — pinned by
+//! the tests below and proptests in `lightmamba_serve`.
 //!
 //! # Send/Sync boundaries
 //!
-//! Shards need `&mut` access to *disjoint* elements of one
-//! `&mut [ModelState]`, which the borrow checker cannot express across
-//! threads. [`StateShards`] is the one escape hatch: a raw-pointer view
-//! whose [`StateShards::state_mut`] is `unsafe` with the contract that
-//! concurrent callers touch disjoint slots. The drivers here uphold it
-//! by construction — batch validation rejects duplicate slots, and the
-//! contiguous shard ranges partition the item list.
+//! Shards need `&mut` access to *disjoint* elements of one `&mut [T]` —
+//! the decode states, and the rows of the caller's logits buffer — which
+//! the borrow checker cannot express across threads. [`StateShards`] is
+//! the one escape hatch: a raw-pointer view whose accessors are `unsafe`
+//! with the contract that concurrent callers touch disjoint elements.
+//! `advance` upholds it by construction — batch validation rejects
+//! duplicate slots, and the contiguous shard ranges partition the item
+//! list.
 
-use std::sync::{Mutex, PoisonError};
+use std::ops::Range;
 
-use lightmamba_pool::WorkerPool;
+use crate::state::ModelState;
 
-use crate::batch::{validate_batch_items_with, DecodeWorkspace, StepWorkspace};
-use crate::state::{LayerState, ModelState};
-use crate::{MambaConfig, MambaModel, ModelError, Result};
-
-/// A shared view of `&mut [ModelState]` that hands out `&mut` access to
-/// individual slots across threads.
+/// A shared view of a `&mut [T]` — decode states by default, or a flat
+/// logits buffer — that hands out `&mut` access to disjoint elements
+/// across threads.
 ///
-/// This exists because one engine step mutates many states through one
-/// exclusive borrow, but disjoint-slot access from multiple threads is
+/// This exists because one batched advance mutates many states through
+/// one exclusive borrow, but disjoint access from multiple threads is
 /// sound. Exclusivity is guaranteed by the caller (see
 /// [`state_mut`](Self::state_mut)), not the type system.
-pub struct StateShards<'a> {
-    base: *mut ModelState,
+pub struct StateShards<'a, T = ModelState> {
+    base: *mut T,
     len: usize,
-    _marker: std::marker::PhantomData<&'a mut [ModelState]>,
+    _marker: std::marker::PhantomData<&'a mut [T]>,
 }
 
 // SAFETY: the view only yields references through the `unsafe`
-// `state_mut`, whose contract (disjoint slots across concurrent
-// callers) is exactly what makes cross-thread sharing sound.
-unsafe impl Send for StateShards<'_> {}
-unsafe impl Sync for StateShards<'_> {}
+// accessors, whose contract (disjoint elements across concurrent
+// callers) is exactly what makes cross-thread sharing sound for `Send`
+// elements.
+unsafe impl<T: Send> Send for StateShards<'_, T> {}
+unsafe impl<T: Send> Sync for StateShards<'_, T> {}
 
-impl<'a> StateShards<'a> {
-    /// Wraps a state slice for sharded access. The borrow is held for
-    /// the view's lifetime, so no other access to `states` can race it.
-    pub fn new(states: &'a mut [ModelState]) -> Self {
+impl<'a, T> StateShards<'a, T> {
+    /// Wraps a slice for sharded access. The borrow is held for the
+    /// view's lifetime, so no other access to `items` can race it.
+    pub fn new(items: &'a mut [T]) -> Self {
         StateShards {
-            base: states.as_mut_ptr(),
-            len: states.len(),
+            base: items.as_mut_ptr(),
+            len: items.len(),
             _marker: std::marker::PhantomData,
         }
     }
 
-    /// Number of states in the underlying slice.
+    /// Number of elements in the underlying slice.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -76,318 +75,50 @@ impl<'a> StateShards<'a> {
         self.len == 0
     }
 
-    /// Exclusive access to one state slot.
+    /// Exclusive access to one element (one state slot).
     ///
     /// # Safety
     ///
     /// `slot` must be in bounds, and for the lifetime of the returned
     /// reference no other call (on any thread) may borrow the same
-    /// slot. The step drivers guarantee this by validating that batch
-    /// items are duplicate-free and partitioning them into disjoint
-    /// shards.
+    /// element.
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn state_mut(&self, slot: usize) -> &mut ModelState {
-        debug_assert!(slot < self.len, "state slot {slot} out of bounds");
+    pub unsafe fn state_mut(&self, slot: usize) -> &mut T {
+        debug_assert!(slot < self.len, "slot {slot} out of bounds");
         // SAFETY: bounds and exclusivity per the function contract.
         unsafe { &mut *self.base.add(slot) }
     }
-}
 
-/// Reusable sharding bookkeeping for parallel steps: the validation
-/// bitmap and the contiguous `(start, end)` item ranges of the latest
-/// step. Lives inside the parallel workspaces so steady-state decode
-/// plans shards without allocating.
-#[derive(Debug, Clone, Default)]
-pub struct ShardPlan {
-    seen: Vec<bool>,
-    ranges: Vec<(usize, usize)>,
-    used: usize,
-}
-
-impl ShardPlan {
-    /// An empty plan; it warms up on the first step.
-    pub fn new() -> Self {
-        ShardPlan::default()
-    }
-
-    /// Number of shards the latest step used.
-    pub fn used(&self) -> usize {
-        self.used
-    }
-
-    /// Contiguous item ranges of the latest step, one per used shard.
-    /// Range `k` covers `items[ranges()[k].0 .. ranges()[k].1]`.
-    pub fn ranges(&self) -> &[(usize, usize)] {
-        &self.ranges[..self.used]
-    }
-
-    /// Partitions `items` indices into at most `threads` balanced
-    /// contiguous ranges (sizes differ by at most one).
-    fn plan(&mut self, items: usize, threads: usize) {
-        self.used = threads.min(items);
-        if self.ranges.len() < self.used {
-            self.ranges.resize(self.used, (0, 0));
-        }
-        if self.used == 0 {
-            return;
-        }
-        let base = items / self.used;
-        let rem = items % self.used;
-        let mut lo = 0;
-        for (k, range) in self.ranges[..self.used].iter_mut().enumerate() {
-            let hi = lo + base + usize::from(k < rem);
-            *range = (lo, hi);
-            lo = hi;
-        }
-        debug_assert_eq!(lo, items);
-    }
-}
-
-/// One shard's share of a batched decode step: the sequential
-/// layer-outer / sequence-inner sweep of
-/// [`drive_step_batch_indexed_into`](crate::batch::drive_step_batch_indexed_into),
-/// minus validation, with states reached through a [`StateShards`] view.
-/// Execution paths outside this crate (the quantized model) build their
-/// parallel step on this exactly as they build their sequential step on
-/// the `_into` driver, so the loop structure — and therefore bit-exact
-/// equivalence with sequential decode — cannot drift between them.
-///
-/// # Safety
-///
-/// The caller must guarantee what validation + disjoint sharding
-/// normally establish: every `(slot, token)` in `items` is in bounds
-/// for `states`, slots are not repeated across *any* concurrent shard
-/// call on the same view, states are shaped for `cfg`, and tokens are
-/// within the vocabulary.
-///
-/// # Errors
-///
-/// Whatever the closures raise (validation errors cannot occur here —
-/// they were raised before sharding).
-pub unsafe fn drive_step_shard<E, Emb, Blk, Fin>(
-    cfg: &MambaConfig,
-    items: &[(usize, u32)],
-    states: &StateShards<'_>,
-    ws: &mut StepWorkspace,
-    mut embed: Emb,
-    mut block_step: Blk,
-    mut finish: Fin,
-) -> std::result::Result<(), E>
-where
-    E: From<ModelError>,
-    Emb: FnMut(u32, &mut Vec<f32>) -> std::result::Result<(), E>,
-    Blk: FnMut(usize, &mut Vec<f32>, &mut LayerState) -> std::result::Result<(), E>,
-    Fin: FnMut(&mut Vec<f32>, &mut Vec<f32>) -> std::result::Result<(), E>,
-{
-    ws.prepare(items.len());
-    for (x, &(_, token)) in ws.xs.iter_mut().zip(items) {
-        embed(token, x)?;
-    }
-    for layer in 0..cfg.n_layer {
-        for (x, &(slot, _)) in ws.xs.iter_mut().zip(items) {
-            // SAFETY: forwarded from this function's contract — this
-            // shard is the only holder of `slot`.
-            let state = unsafe { states.state_mut(slot) };
-            block_step(layer, x, &mut state.layers[layer])?;
-        }
-    }
-    for (x, logits) in ws.xs.iter_mut().zip(ws.logits.iter_mut()).take(items.len()) {
-        finish(x, logits)?;
-    }
-    Ok(())
-}
-
-/// The parallel form of
-/// [`drive_step_batch_indexed_into`](crate::batch::drive_step_batch_indexed_into):
-/// validates the whole batch up front (no state is half-advanced on a
-/// validation error), partitions it into contiguous per-thread shards,
-/// and runs `shard_fn(shard_items, states, workspace)` for each shard
-/// on the pool. `workspaces` grows to the shard count once and is then
-/// reused, so steady-state parallel decode allocates nothing.
-///
-/// `shard_fn` is expected to wrap [`drive_step_shard`] with the
-/// execution path's kernels; the disjoint contiguous ranges planned
-/// here are what discharge that function's safety contract.
-///
-/// # Errors
-///
-/// The conditions of
-/// [`validate_batch_items`](crate::batch::validate_batch_items), plus
-/// whatever `shard_fn` raises. When several shards fail, the error of
-/// the lowest-indexed shard is returned so the reported error does not
-/// depend on thread scheduling.
-pub fn drive_step_batch_indexed_par<E, W, F>(
-    cfg: &MambaConfig,
-    items: &[(usize, u32)],
-    states: &mut [ModelState],
-    pool: &WorkerPool,
-    plan: &mut ShardPlan,
-    workspaces: &mut Vec<W>,
-    shard_fn: F,
-) -> std::result::Result<(), E>
-where
-    E: From<ModelError> + Send,
-    W: Send + Default,
-    F: Fn(&[(usize, u32)], &StateShards<'_>, &mut W) -> std::result::Result<(), E> + Sync,
-{
-    validate_batch_items_with(cfg, items, states, &mut plan.seen)?;
-    plan.plan(items.len(), pool.threads());
-    if plan.used == 0 {
-        return Ok(());
-    }
-    if workspaces.len() < plan.used {
-        workspaces.resize_with(plan.used, W::default);
-    }
-    let view = StateShards::new(states);
-    let ranges = &plan.ranges[..plan.used];
-    let first_err: Mutex<Option<(usize, E)>> = Mutex::new(None);
-    pool.run_over(&mut workspaces[..plan.used], |k, ws| {
-        let (lo, hi) = ranges[k];
-        if let Err(e) = shard_fn(&items[lo..hi], &view, ws) {
-            let mut slot = first_err.lock().unwrap_or_else(PoisonError::into_inner);
-            // Keep the lowest-shard error (MSRV 1.75: no `is_none_or`).
-            let keep_existing = matches!(slot.as_ref(), Some(&(j, _)) if j < k);
-            if !keep_existing {
-                *slot = Some((k, e));
-            }
-        }
-    });
-    match first_err
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
-    }
-}
-
-/// Per-shard decode workspaces for the FP model's parallel step: one
-/// [`DecodeWorkspace`] per pool thread plus the shard bookkeeping. Grows
-/// to the pool width on the first step, then steady-state parallel
-/// decode performs zero heap allocations (pinned by the threaded
-/// `no_alloc` test).
-#[derive(Debug, Clone, Default)]
-pub struct ParDecodeWorkspace {
-    plan: ShardPlan,
-    shards: Vec<DecodeWorkspace>,
-}
-
-impl ParDecodeWorkspace {
-    /// An empty workspace; it warms up on the first step.
-    pub fn new() -> Self {
-        ParDecodeWorkspace::default()
-    }
-
-    /// Logits of the latest parallel step in `items` order (shard
-    /// ranges are contiguous, so chaining shards restores batch order).
-    pub fn logits(&self) -> impl Iterator<Item = &Vec<f32>> + '_ {
-        self.shards[..self.plan.used]
-            .iter()
-            .flat_map(|ws| ws.logits().iter())
-    }
-
-    /// Logits of item `j` of the latest parallel step.
+    /// Exclusive access to a contiguous run of elements.
     ///
-    /// # Panics
+    /// # Safety
     ///
-    /// If `j` is not an item index of the latest step.
-    pub fn logits_at(&self, j: usize) -> &Vec<f32> {
-        for (k, &(lo, hi)) in self.plan.ranges().iter().enumerate() {
-            if j >= lo && j < hi {
-                return &self.shards[k].logits()[j - lo];
-            }
-        }
-        panic!("logit index {j} out of range for the latest step");
+    /// `range` must be in bounds, and for the lifetime of the returned
+    /// slice no other call (on any thread) may borrow an element of it.
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn range_mut(&self, range: Range<usize>) -> &mut [T] {
+        debug_assert!(range.start <= range.end && range.end <= self.len);
+        // SAFETY: bounds and exclusivity per the function contract.
+        unsafe { std::slice::from_raw_parts_mut(self.base.add(range.start), range.len()) }
     }
 }
 
-impl MambaModel {
-    /// Multi-core batched decode step: like
-    /// [`forward_step_batch_indexed_with`](MambaModel::forward_step_batch_indexed_with),
-    /// but the validated batch is sharded into contiguous ranges and
-    /// each range's weight-stationary sweep runs on its own pool thread
-    /// with its own workspace. Logits land in `ws` (see
-    /// [`ParDecodeWorkspace::logits`]), index-aligned with `items`, and
-    /// are bit-identical to the sequential path for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`forward_step_batch_indexed`](MambaModel::forward_step_batch_indexed).
-    pub fn forward_step_batch_indexed_par_with(
-        &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-        pool: &WorkerPool,
-        ws: &mut ParDecodeWorkspace,
-    ) -> Result<()> {
-        let vocab = self.config().vocab_size;
-        drive_step_batch_indexed_par(
-            self.config(),
-            items,
-            states,
-            pool,
-            &mut ws.plan,
-            &mut ws.shards,
-            |shard_items, view, dws: &mut DecodeWorkspace| {
-                let scratch = &mut dws.scratch;
-                // SAFETY: the batch was validated duplicate-free and the
-                // planner hands each shard a disjoint contiguous range,
-                // so this shard exclusively owns its slots.
-                unsafe {
-                    drive_step_shard(
-                        self.config(),
-                        shard_items,
-                        view,
-                        &mut dws.step,
-                        |token, buf| {
-                            let row = self.embedding().row(token as usize)?;
-                            buf.clear();
-                            buf.extend_from_slice(row);
-                            Ok(())
-                        },
-                        |layer, x, lstate| {
-                            self.blocks()[layer].forward_step_into(x, lstate, scratch)
-                        },
-                        |x, logits| {
-                            lightmamba_tensor::norm::rms_norm(x, self.final_norm_gamma(), 1e-5);
-                            logits.resize(vocab, 0.0);
-                            Ok(self.embedding().matvec_into(x, logits)?)
-                        },
-                    )
-                }
-            },
-        )
-    }
-
-    /// Multi-core ragged prefill: the parallel twin of
-    /// [`prefill_batch_with`](MambaModel::prefill_batch_with), driving
-    /// the sharded step position-by-position. Only the returned finals
-    /// allocate.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`prefill_batch`](MambaModel::prefill_batch).
-    pub fn prefill_batch_par_with(
-        &self,
-        prompts: &[&[u32]],
-        states: &mut [ModelState],
-        pool: &WorkerPool,
-        ws: &mut ParDecodeWorkspace,
-    ) -> Result<Vec<Vec<f32>>> {
-        crate::batch::drive_prefill_batch_with(
-            prompts,
-            states,
-            ws,
-            |items, states, ws| self.forward_step_batch_indexed_par_with(items, states, pool, ws),
-            |ws, j| ws.logits_at(j).clone(),
-        )
-    }
+/// Item range of shard `k` when `items` are split into `shards`
+/// balanced contiguous ranges (sizes differ by at most one, larger
+/// ranges first).
+pub(crate) fn shard_range(k: usize, shards: usize, items: usize) -> Range<usize> {
+    let base = items / shards;
+    let rem = items % shards;
+    let lo = k * base + k.min(rem);
+    lo..lo + base + usize::from(k < rem)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{advance, AdvanceWorkspace, LogitsBuf};
+    use crate::{MambaConfig, MambaModel, ModelError};
+    use lightmamba_pool::WorkerPool;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -397,22 +128,21 @@ mod tests {
 
     #[test]
     fn shard_plan_is_balanced_and_contiguous() {
-        let mut plan = ShardPlan::new();
         for items in 0..40 {
             for threads in 1..9 {
-                plan.plan(items, threads);
-                let ranges = plan.ranges().to_vec();
-                assert_eq!(ranges.len(), threads.min(items));
+                let shards = threads.min(items);
+                let ranges: Vec<Range<usize>> =
+                    (0..shards).map(|k| shard_range(k, shards, items)).collect();
                 let mut lo = 0;
-                for &(a, b) in &ranges {
-                    assert_eq!(a, lo, "ranges are contiguous from zero");
-                    assert!(b > a, "no empty shard");
-                    lo = b;
+                for r in &ranges {
+                    assert_eq!(r.start, lo, "ranges are contiguous from zero");
+                    assert!(r.end > r.start, "no empty shard");
+                    lo = r.end;
                 }
                 assert_eq!(lo, items, "ranges cover all items");
                 if let (Some(min), Some(max)) = (
-                    ranges.iter().map(|&(a, b)| b - a).min(),
-                    ranges.iter().map(|&(a, b)| b - a).max(),
+                    ranges.iter().map(Range::len).min(),
+                    ranges.iter().map(Range::len).max(),
                 ) {
                     assert!(max - min <= 1, "balanced to within one item");
                 }
@@ -423,25 +153,46 @@ mod tests {
     #[test]
     fn parallel_step_matches_sequential_bitwise() {
         let m = tiny_model();
-        let pool = WorkerPool::new(4);
+        let (seq_pool, par_pool) = (WorkerPool::new(1), WorkerPool::new(4));
         let n = 7;
 
         let mut seq_states: Vec<_> = (0..n).map(|_| m.new_state()).collect();
         let mut par_states = seq_states.clone();
-        let mut seq_ws = DecodeWorkspace::new();
-        let mut par_ws = ParDecodeWorkspace::new();
+        let (mut seq_ws, mut par_ws) = (AdvanceWorkspace::new(), AdvanceWorkspace::new());
+        let (mut seq_out, mut par_out) = (LogitsBuf::new(), LogitsBuf::new());
 
         for step in 0..5u32 {
-            let items: Vec<(usize, u32)> = (0..n).map(|k| (k, step * 31 + k as u32)).collect();
-            m.forward_step_batch_indexed_with(&items, &mut seq_states, &mut seq_ws)
-                .unwrap();
-            m.forward_step_batch_indexed_par_with(&items, &mut par_states, &pool, &mut par_ws)
-                .unwrap();
-            let par_logits: Vec<&Vec<f32>> = par_ws.logits().collect();
-            assert_eq!(par_logits.len(), n);
-            for (k, seq_logits) in seq_ws.logits().iter().enumerate() {
-                assert_eq!(par_logits[k], seq_logits, "sequence {k} diverged at {step}");
-                assert_eq!(*par_ws.logits_at(k), *seq_logits);
+            let tokens: Vec<u32> = (0..n as u32).map(|k| step * 31 + k).collect();
+            let items: Vec<(usize, &[u32])> = tokens
+                .iter()
+                .enumerate()
+                .map(|(k, t)| (k, std::slice::from_ref(t)))
+                .collect();
+            advance(
+                &m,
+                &items,
+                &mut seq_states,
+                &seq_pool,
+                &mut seq_ws,
+                &mut seq_out,
+            )
+            .unwrap();
+            advance(
+                &m,
+                &items,
+                &mut par_states,
+                &par_pool,
+                &mut par_ws,
+                &mut par_out,
+            )
+            .unwrap();
+            assert_eq!(par_out.rows(), n);
+            for k in 0..n {
+                assert_eq!(
+                    par_out.row(k),
+                    seq_out.row(k),
+                    "sequence {k} diverged at {step}"
+                );
             }
         }
         assert_eq!(par_states, seq_states, "states diverged");
@@ -454,15 +205,28 @@ mod tests {
         let prompts: [&[u32]; 3] = [&[5, 9, 2], &[40, 1], &[7, 7, 7, 7]];
 
         let mut seq_states: Vec<_> = (0..3).map(|_| m.new_state()).collect();
-        let seq = m.prefill_batch(&prompts, &mut seq_states).unwrap();
+        let seq: Vec<Vec<f32>> = prompts
+            .iter()
+            .zip(&mut seq_states)
+            .map(|(p, st)| m.prefill(p, st).unwrap())
+            .collect();
 
         let mut par_states: Vec<_> = (0..3).map(|_| m.new_state()).collect();
-        let mut ws = ParDecodeWorkspace::new();
-        let par = m
-            .prefill_batch_par_with(&prompts, &mut par_states, &pool, &mut ws)
-            .unwrap();
+        let items: Vec<(usize, &[u32])> = prompts.iter().copied().enumerate().collect();
+        let mut out = LogitsBuf::new();
+        advance(
+            &m,
+            &items,
+            &mut par_states,
+            &pool,
+            &mut AdvanceWorkspace::new(),
+            &mut out,
+        )
+        .unwrap();
 
-        assert_eq!(par, seq);
+        for (k, expect) in seq.iter().enumerate() {
+            assert_eq!(out.row(k), &expect[..]);
+        }
         assert_eq!(par_states, seq_states);
     }
 
@@ -472,9 +236,14 @@ mod tests {
         let pool = WorkerPool::new(2);
         let mut states: Vec<_> = (0..2).map(|_| m.new_state()).collect();
         let before = states.clone();
-        let mut ws = ParDecodeWorkspace::new();
-        let err =
-            m.forward_step_batch_indexed_par_with(&[(0, 1), (0, 2)], &mut states, &pool, &mut ws);
+        let err = advance(
+            &m,
+            &[(0, &[1]), (0, &[2])],
+            &mut states,
+            &pool,
+            &mut AdvanceWorkspace::new(),
+            &mut LogitsBuf::new(),
+        );
         assert!(matches!(err, Err(ModelError::StateMismatch(_))));
         assert_eq!(states, before);
     }
@@ -484,9 +253,16 @@ mod tests {
         let m = tiny_model();
         let pool = WorkerPool::new(2);
         let mut states: Vec<ModelState> = Vec::new();
-        let mut ws = ParDecodeWorkspace::new();
-        m.forward_step_batch_indexed_par_with(&[], &mut states, &pool, &mut ws)
-            .unwrap();
-        assert_eq!(ws.logits().count(), 0);
+        let mut out = LogitsBuf::new();
+        advance(
+            &m,
+            &[],
+            &mut states,
+            &pool,
+            &mut AdvanceWorkspace::new(),
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(out.rows(), 0);
     }
 }

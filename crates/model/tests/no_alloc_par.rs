@@ -1,9 +1,10 @@
-//! Pins the threaded hot-path contract: steady-state batched decode
-//! through the worker pool performs **zero heap allocations** on every
-//! participating thread. A counting global allocator wraps the system
-//! allocator; after a warm-up phase (per-worker workspace buffers grow
-//! to their sharded shapes, the pool's threads are already parked on
-//! their condvar) the allocation counter must not move.
+//! Pins the threaded hot-path contract: steady-state batched advance
+//! sharded across a 4-thread worker pool performs **zero heap
+//! allocations** on every participating thread, for single-token and
+//! multi-token items alike. A counting global allocator wraps the
+//! system allocator; after a warm-up phase (per-shard workspace buffers
+//! grow to their shapes, the pool's threads are already parked on their
+//! condvar) the allocation counter must not move.
 //!
 //! This file holds exactly one test so no parallel test can inject
 //! allocations into the measurement window.
@@ -11,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lightmamba_model::{MambaConfig, MambaModel, ParDecodeWorkspace};
+use lightmamba_model::{advance, AdvanceWorkspace, LogitsBuf, MambaConfig, MambaModel};
 use lightmamba_pool::WorkerPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,40 +42,55 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Token slices for every step: item `k` of step `t` feeds one to three
+/// tokens, so each step mixes decode-sized and prefill-chunk items.
+fn token_table(steps: usize, batch: usize, vocab: usize) -> Vec<Vec<Vec<u32>>> {
+    (0..steps)
+        .map(|t| {
+            (0..batch)
+                .map(|k| {
+                    (0..1 + (t + k) % 3)
+                        .map(|j| ((t * 11 + k * 5 + j * 3) % vocab) as u32)
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
 fn steady_state_parallel_decode_allocates_nothing() {
     let model = MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(3)).unwrap();
     let batch = 6;
     let pool = WorkerPool::new(4);
     let mut states: Vec<_> = (0..batch).map(|_| model.new_state()).collect();
-    let mut ws = ParDecodeWorkspace::new();
-    let mut items: Vec<(usize, u32)> = (0..batch).map(|k| (k, 0u32)).collect();
+    let mut ws = AdvanceWorkspace::new();
+    let mut out = LogitsBuf::new();
+    let table = token_table(40, batch, 256);
+    let schedule: Vec<Vec<(usize, &[u32])>> = table
+        .iter()
+        .map(|step| step.iter().enumerate().map(|(k, t)| (k, &t[..])).collect())
+        .collect();
 
-    let mut step = |t: usize, states: &mut [_], ws: &mut ParDecodeWorkspace| {
-        for (k, item) in items.iter_mut().enumerate() {
-            item.1 = ((t * 11 + k * 5) % 256) as u32;
-        }
-        model
-            .forward_step_batch_indexed_par_with(&items, states, &pool, ws)
-            .unwrap();
-        assert_eq!(ws.logits().count(), batch);
+    let mut step = |t: usize, states: &mut [_]| {
+        advance(&model, &schedule[t], states, &pool, &mut ws, &mut out).unwrap();
+        assert_eq!(out.rows(), batch);
     };
 
-    // Warm-up: every per-worker workspace grows to its shard's shapes
-    // and the pool settles into its park/dispatch rhythm.
+    // Warm-up: per-shard scratch grows to final shapes, pool settles.
     for t in 0..3 {
-        step(t, &mut states, &mut ws);
+        step(t, &mut states);
     }
 
     let before = ALLOCS.load(Ordering::SeqCst);
     for t in 3..40 {
-        step(t, &mut states, &mut ws);
+        step(t, &mut states);
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "steady-state 4-thread FP decode allocated {} times over 37 steps",
+        "steady-state 4-thread FP advance allocated {} times over 37 steps",
         after - before
     );
 }

@@ -1,5 +1,6 @@
 //! Pins the observability layer's steady-state contract: a fully
-//! instrumented decode loop — real batched model steps plus counter
+//! instrumented decode loop — real batched model advances (one- and
+//! four-thread pools, single- and multi-token items) plus counter
 //! bumps, histogram observations, span begin/end, and flight-recorder
 //! pushes every step — performs **zero heap allocations** once warm.
 //! All obs storage is pre-allocated at construction (registry vectors,
@@ -14,8 +15,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use lightmamba_model::{DecodeWorkspace, MambaConfig, MambaModel};
+use lightmamba_model::{advance, AdvanceWorkspace, LogitsBuf, MambaConfig, MambaModel};
 use lightmamba_obs::{FlightRecorder, LifecyclePhase, MetricsRegistry, SpanRecorder, StepRecord};
+use lightmamba_pool::WorkerPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -44,13 +46,33 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-#[test]
-fn instrumented_steady_state_decode_allocates_nothing() {
-    let model = MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(3)).unwrap();
+/// Token slices for every step: item `k` of step `t` feeds one to three
+/// tokens, so each step mixes decode-sized and prefill-chunk items.
+fn token_table(steps: usize, batch: usize, vocab: usize) -> Vec<Vec<Vec<u32>>> {
+    (0..steps)
+        .map(|t| {
+            (0..batch)
+                .map(|k| {
+                    (0..1 + (t + k) % 3)
+                        .map(|j| ((t * 11 + k * 5 + j * 3) % vocab) as u32)
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn drive(model: &MambaModel, threads: usize) {
     let batch = 3;
+    let pool = WorkerPool::new(threads);
     let mut states: Vec<_> = (0..batch).map(|_| model.new_state()).collect();
-    let mut ws = DecodeWorkspace::new();
-    let mut items: Vec<(usize, u32)> = (0..batch).map(|k| (k, 0u32)).collect();
+    let mut ws = AdvanceWorkspace::new();
+    let mut out = LogitsBuf::new();
+    let table = token_table(60, batch, 256);
+    let schedule: Vec<Vec<(usize, &[u32])>> = table
+        .iter()
+        .map(|step| step.iter().enumerate().map(|(k, t)| (k, &t[..])).collect())
+        .collect();
 
     // The full observability surface, sized small enough that the ring
     // wraps and the span buffer fills *inside* the measurement window —
@@ -63,16 +85,11 @@ fn instrumented_steady_state_decode_allocates_nothing() {
     let mut spans = SpanRecorder::with_capacity(64);
     let mut flight = FlightRecorder::new(8, 16);
 
-    let mut step = |t: usize, states: &mut [_], ws: &mut DecodeWorkspace| {
+    let mut step = |t: usize, states: &mut [_]| {
         let t0 = Instant::now();
         spans.begin("step", "fifo", t as u64);
         spans.begin("advance", "fifo", t as u64);
-        for (k, item) in items.iter_mut().enumerate() {
-            item.1 = ((t * 11 + k * 5) % 256) as u32;
-        }
-        model
-            .forward_step_batch_indexed_with(&items, states, ws)
-            .unwrap();
+        advance(model, &schedule[t], states, &pool, &mut ws, &mut out).unwrap();
         spans.end_with([("tokens", batch as f64), ("", 0.0)]);
         spans.end();
         metrics.inc(steps);
@@ -90,18 +107,18 @@ fn instrumented_steady_state_decode_allocates_nothing() {
     // Warm-up: workspace buffers grow to their final shapes (the obs
     // side is pre-allocated and needs none).
     for t in 0..3 {
-        step(t, &mut states, &mut ws);
+        step(t, &mut states);
     }
 
     let before = ALLOCS.load(Ordering::SeqCst);
     for t in 3..60 {
-        step(t, &mut states, &mut ws);
+        step(t, &mut states);
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "instrumented steady-state decode allocated {} times over 57 steps",
+        "instrumented steady-state decode on {threads} thread(s) allocated {} times over 57 steps",
         after - before
     );
     // The window really exercised the bounded paths.
@@ -109,4 +126,11 @@ fn instrumented_steady_state_decode_allocates_nothing() {
     assert!(flight.lifecycle().evicted() > 0, "lifecycle ring wrapped");
     assert!(spans.dropped() > 0, "span buffer filled and dropped");
     assert_eq!(metrics.counter_value(steps), 60);
+}
+
+#[test]
+fn instrumented_steady_state_decode_allocates_nothing() {
+    let model = MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(3)).unwrap();
+    drive(&model, 1);
+    drive(&model, 4);
 }

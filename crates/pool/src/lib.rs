@@ -112,6 +112,8 @@ struct PoolState {
     panic_msg: Option<String>,
     /// Set by `Drop` to retire the worker threads.
     shutdown: bool,
+    /// Worker threads that have entered their dispatch loop.
+    started: usize,
 }
 
 struct Shared {
@@ -192,6 +194,7 @@ impl WorkerPool {
                 panicked: false,
                 panic_msg: None,
                 shutdown: false,
+                started: 0,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
@@ -199,6 +202,22 @@ impl WorkerPool {
         let workers = (1..threads)
             .map(|k| spawn_worker(Arc::clone(&shared), k as u64, 0))
             .collect();
+        // Wait until every worker runs: thread start-up allocates (std
+        // records the thread's name), and a worker the OS first
+        // schedules mid-run would put that allocation on the
+        // allocation-free dispatch path.
+        {
+            let mut st = shared
+                .state
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            while st.started < threads - 1 {
+                st = shared
+                    .done_cv
+                    .wait(st)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+            }
+        }
         WorkerPool {
             shared,
             workers: Mutex::new(workers),
@@ -483,6 +502,12 @@ fn spawn_worker(shared: Arc<Shared>, k: u64, start_epoch: u64) -> JoinHandle<()>
 
 fn worker_loop(shared: &Shared, start_epoch: u64) {
     let mut last_epoch = start_epoch;
+    shared
+        .state
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .started += 1;
+    shared.done_cv.notify_all();
     loop {
         let mut st = shared
             .state

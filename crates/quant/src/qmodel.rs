@@ -33,13 +33,12 @@
 
 use std::sync::Arc;
 
-use lightmamba_model::batch::{self, StepWorkspace};
 use lightmamba_model::eval::StepModel;
-use lightmamba_model::par::{drive_step_batch_indexed_par, drive_step_shard, ShardPlan};
 use lightmamba_model::ssm::{ssm_step_into, SsmDims};
 use lightmamba_model::weights::InProjSplit;
-use lightmamba_model::{BlockScratch, LayerState, MambaConfig, ModelError, ModelState};
-use lightmamba_pool::WorkerPool;
+use lightmamba_model::{
+    BlockScratch, LayerState, MambaConfig, ModelError, ModelState, StepKernels,
+};
 use lightmamba_tensor::{activation, norm, Tensor};
 
 use crate::kernels::{gemv_packed, ActQuant, GemvScratch, PackedW4};
@@ -162,88 +161,18 @@ struct SharedWeights {
     blocks: Vec<QBlock>,
 }
 
-/// Per-step kernel scratch for the quantized block forward: the shared
-/// FP block buffers ([`lightmamba_model::BlockScratch`] — one `prepare`
-/// keeps the shapes in sync with the FP path) plus the quantization-only
-/// pieces. Every temporary of
-/// [`QuantizedMamba::forward_step_batch_indexed_with`] lives here, so
+/// Kernel scratch of the quantized forward: the shared FP block
+/// buffers ([`lightmamba_model::BlockScratch`] — one `prepare` keeps the
+/// shapes in sync with the FP path) plus the quantization-only pieces.
+/// Every temporary of a batched [`lightmamba_model::advance`] over this
+/// model lives here (one per shard, inside the advance workspace), so
 /// steady-state decode allocates nothing.
 #[derive(Debug, Clone, Default)]
-struct QuantScratch {
+pub struct QuantScratch {
     block: BlockScratch,
     act: ActQuant,
     /// Integer accumulator planes for the packed GEMV.
     iacc: GemvScratch,
-}
-
-/// Reusable workspace for the quantized batched decode hot path: the
-/// model-agnostic batch buffers plus the quantized kernel scratch
-/// (activation codes included). Grows to the largest batch seen, then
-/// steady-state decode performs zero heap allocations.
-#[derive(Debug, Clone, Default)]
-pub struct QuantWorkspace {
-    step: StepWorkspace,
-    scratch: QuantScratch,
-    /// LM-head activation codes and i32 accumulators, separate from the
-    /// block scratch so the step driver's block and finish closures
-    /// borrow disjoint state.
-    head_act: ActQuant,
-    head_iacc: GemvScratch,
-}
-
-impl QuantWorkspace {
-    /// An empty workspace; it warms up on the first step.
-    pub fn new() -> Self {
-        QuantWorkspace::default()
-    }
-
-    /// Logits of the latest
-    /// [`QuantizedMamba::forward_step_batch_indexed_with`] call,
-    /// index-aligned with its `items`.
-    pub fn logits(&self) -> &[Vec<f32>] {
-        self.step.logits()
-    }
-}
-
-/// Per-shard workspaces for the quantized model's parallel step: one
-/// [`QuantWorkspace`] per pool thread plus the shard bookkeeping — the
-/// quantized mirror of [`lightmamba_model::ParDecodeWorkspace`]. Grows
-/// to the pool width on the first step, then steady-state parallel
-/// decode performs zero heap allocations (pinned by the threaded
-/// `no_alloc` test).
-#[derive(Debug, Clone, Default)]
-pub struct ParQuantWorkspace {
-    plan: ShardPlan,
-    shards: Vec<QuantWorkspace>,
-}
-
-impl ParQuantWorkspace {
-    /// An empty workspace; it warms up on the first step.
-    pub fn new() -> Self {
-        ParQuantWorkspace::default()
-    }
-
-    /// Logits of the latest parallel step in `items` order (shard
-    /// ranges are contiguous, so chaining shards restores batch order).
-    pub fn logits(&self) -> impl Iterator<Item = &Vec<f32>> + '_ {
-        self.shards[..self.plan.used()]
-            .iter()
-            .flat_map(|ws| ws.logits().iter())
-    }
-
-    /// Logits of item `j` of the latest parallel step.
-    ///
-    /// # Panics
-    ///
-    /// If `j` is not an item index of the latest step.
-    pub fn logits_at(&self, j: usize) -> &Vec<f32> {
-        for (k, &(lo, hi)) in self.plan.ranges().iter().enumerate() {
-            if j >= lo && j < hi {
-                return &self.shards[k].logits()[j - lo];
-            }
-        }
-        panic!("logit index {j} out of range for the latest step");
-    }
 }
 
 /// A quantized Mamba2 model implementing [`StepModel`].
@@ -623,24 +552,22 @@ impl QuantizedMamba {
     }
 
     /// Final norm + optional activation quantization + LM head, writing
-    /// into a reusable logits buffer.
+    /// into a `vocab_size`-long logits row.
     fn logits_into(
         &self,
         x: &mut [f32],
-        logits: &mut Vec<f32>,
-        act: &mut ActQuant,
-        iacc: &mut GemvScratch,
+        logits: &mut [f32],
+        scratch: &mut QuantScratch,
     ) -> Result<()> {
         norm::rms_norm(x, &self.weights.final_norm_gamma, 1e-5);
-        logits.resize(self.cfg.vocab_size, 0.0);
         match (&self.weights.lm_head_packed, self.integer()) {
             (Some(packed), true) => {
                 let scheme = self
                     .precision
                     .act
                     .expect("packable precision has an act scheme");
-                act.quantize(x, scheme)?;
-                gemv_packed(packed, act, iacc, logits)?;
+                scratch.act.quantize(x, scheme)?;
+                gemv_packed(packed, &scratch.act, &mut scratch.iacc, logits)?;
             }
             _ => {
                 if let Some(s) = self.precision.act {
@@ -652,194 +579,39 @@ impl QuantizedMamba {
         Ok(())
     }
 
-    /// One decode step against an external state (the serving path; the
-    /// internal [`StepModel`] state is untouched).
+    /// One decode step against an external state (the internal
+    /// [`StepModel`] state is untouched): the sequential oracle that
+    /// batched [`lightmamba_model::advance`] is pinned bit-identical
+    /// against.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::TokenOutOfRange`] / [`ModelError::StateMismatch`]
     /// wrapped in [`crate::QuantError`] for invalid inputs.
     pub fn forward_step_with(&self, token: u32, state: &mut ModelState) -> Result<Vec<f32>> {
-        let mut ws = QuantWorkspace::new();
-        self.forward_step_batch_indexed_with(&[(0, token)], std::slice::from_mut(state), &mut ws)?;
-        Ok(ws
-            .step
-            .take_logits()
-            .pop()
-            .expect("one item yields one logits vector"))
-    }
-
-    /// Workspace-threaded batched decode step: like
-    /// [`QuantizedMamba::forward_step_batch_indexed`], but every
-    /// temporary — residual streams, projections, activation codes,
-    /// logits — lives in `ws`, so a steady-state decode loop performs
-    /// zero heap allocations (pinned by the `no_alloc` integration
-    /// test). Logits land in `ws.logits()`, index-aligned with `items`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`QuantizedMamba::forward_step_batch_indexed`].
-    pub fn forward_step_batch_indexed_with(
-        &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-        ws: &mut QuantWorkspace,
-    ) -> Result<()> {
-        let scratch = &mut ws.scratch;
-        let head_act = &mut ws.head_act;
-        let head_iacc = &mut ws.head_iacc;
-        batch::drive_step_batch_indexed_into(
-            &self.cfg,
-            items,
-            states,
-            &mut ws.step,
-            |token, buf| {
-                let row = self.weights.embedding.row(token as usize)?;
-                buf.clear();
-                buf.extend_from_slice(row);
-                Ok(())
-            },
-            |layer, x, lstate| {
-                self.block_step_with(&self.weights.blocks[layer], x, lstate, scratch)
-            },
-            |x, logits| self.logits_into(x, logits, head_act, head_iacc),
-        )
-    }
-
-    /// Multi-core batched decode step: like
-    /// [`QuantizedMamba::forward_step_batch_indexed_with`], but the
-    /// validated batch is sharded into contiguous ranges and each
-    /// range's weight-stationary sweep runs on its own pool thread with
-    /// its own workspace (packed weights are shared read-only through
-    /// the model's `Arc`). Logits land in `ws` (see
-    /// [`ParQuantWorkspace::logits`]), index-aligned with `items`, and
-    /// are bit-identical to the sequential path for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`QuantizedMamba::forward_step_batch_indexed`].
-    pub fn forward_step_batch_indexed_par_with(
-        &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-        pool: &WorkerPool,
-        ws: &mut ParQuantWorkspace,
-    ) -> Result<()> {
-        drive_step_batch_indexed_par(
-            &self.cfg,
-            items,
-            states,
-            pool,
-            &mut ws.plan,
-            &mut ws.shards,
-            |shard_items, view, qws: &mut QuantWorkspace| {
-                let scratch = &mut qws.scratch;
-                let head_act = &mut qws.head_act;
-                let head_iacc = &mut qws.head_iacc;
-                // SAFETY: the batch was validated duplicate-free and the
-                // planner hands each shard a disjoint contiguous range,
-                // so this shard exclusively owns its slots.
-                unsafe {
-                    drive_step_shard(
-                        &self.cfg,
-                        shard_items,
-                        view,
-                        &mut qws.step,
-                        |token, buf| {
-                            let row = self.weights.embedding.row(token as usize)?;
-                            buf.clear();
-                            buf.extend_from_slice(row);
-                            Ok(())
-                        },
-                        |layer, x, lstate| {
-                            self.block_step_with(&self.weights.blocks[layer], x, lstate, scratch)
-                        },
-                        |x, logits| self.logits_into(x, logits, head_act, head_iacc),
-                    )
-                }
-            },
-        )
-    }
-
-    /// Multi-core ragged prefill: the parallel twin of
-    /// [`QuantizedMamba::prefill_batch_with`], driving the sharded step
-    /// position-by-position. Only the returned finals allocate.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QuantizedMamba::prefill_batch`].
-    pub fn prefill_batch_par_with(
-        &self,
-        prompts: &[&[u32]],
-        states: &mut [ModelState],
-        pool: &WorkerPool,
-        ws: &mut ParQuantWorkspace,
-    ) -> Result<Vec<Vec<f32>>> {
-        batch::drive_prefill_batch_with(
-            prompts,
-            states,
-            ws,
-            |items, states, ws| self.forward_step_batch_indexed_par_with(items, states, pool, ws),
-            |ws, j| ws.logits_at(j).clone(),
-        )
-    }
-
-    /// One decode step for a batch: `items[k] = (state_index, token)`
-    /// advances `states[state_index]` by `token` and yields that
-    /// sequence's next-token logits as `(state_index, logits)` — the
-    /// quantized mirror of
-    /// [`lightmamba_model::MambaModel::forward_step_batch_indexed`],
-    /// layer-outer/sequence-inner so each block's weights are touched
-    /// once per step. Per-sequence arithmetic is bit-identical to the
-    /// sequential [`StepModel`] decode.
-    ///
-    /// # Errors
-    ///
-    /// Rejects out-of-bounds or duplicated indices, foreign-config states,
-    /// and invalid tokens; states are not advanced on error.
-    pub fn forward_step_batch_indexed(
-        &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>> {
-        let mut ws = QuantWorkspace::new();
-        self.forward_step_batch_indexed_with(items, states, &mut ws)?;
-        Ok(items
-            .iter()
-            .map(|&(slot, _)| slot)
-            .zip(ws.step.take_logits())
-            .collect())
-    }
-
-    /// One decode step for every sequence: `tokens` and `states` are
-    /// parallel slices. Returns one logits vector per sequence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::StateMismatch`] when the slices disagree in
-    /// length, plus the conditions of
-    /// [`QuantizedMamba::forward_step_batch_indexed`].
-    pub fn forward_step_batch(
-        &self,
-        tokens: &[u32],
-        states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>> {
-        if tokens.len() != states.len() {
+        if token as usize >= self.cfg.vocab_size {
+            return Err(ModelError::TokenOutOfRange {
+                token,
+                vocab: self.cfg.vocab_size,
+            }
+            .into());
+        }
+        if state.layers.len() != self.cfg.n_layer {
             return Err(ModelError::StateMismatch(format!(
-                "{} tokens for {} states",
-                tokens.len(),
-                states.len()
+                "state has {} layers, model has {}",
+                state.layers.len(),
+                self.cfg.n_layer
             ))
             .into());
         }
-        let items: Vec<(usize, u32)> = tokens.iter().copied().enumerate().collect();
-        Ok(self
-            .forward_step_batch_indexed(&items, states)?
-            .into_iter()
-            .map(|(_, logits)| logits)
-            .collect())
+        let mut scratch = QuantScratch::default();
+        let mut x = self.weights.embedding.row(token as usize)?.to_vec();
+        for (block, lstate) in self.weights.blocks.iter().zip(&mut state.layers) {
+            self.block_step_with(block, &mut x, lstate, &mut scratch)?;
+        }
+        let mut logits = vec![0.0; self.cfg.vocab_size];
+        self.logits_into(&mut x, &mut logits, &mut scratch)?;
+        Ok(logits)
     }
 
     fn step_inner(&mut self, token: u32) -> Result<Vec<f32>> {
@@ -851,45 +623,36 @@ impl QuantizedMamba {
         self.state = state;
         out
     }
+}
 
-    /// Workspace-threaded ragged prefill: consumes `prompts[k]` into
-    /// `states[k]` position-by-position reusing `ws` across positions,
-    /// and returns each sequence's logits after its final prompt token.
-    /// Only the returned finals allocate (once per sequence).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QuantizedMamba::prefill_batch`].
-    pub fn prefill_batch_with(
-        &self,
-        prompts: &[&[u32]],
-        states: &mut [ModelState],
-        ws: &mut QuantWorkspace,
-    ) -> Result<Vec<Vec<f32>>> {
-        batch::drive_prefill_batch_with(
-            prompts,
-            states,
-            ws,
-            |items, states, ws| self.forward_step_batch_indexed_with(items, states, ws),
-            |ws, j| ws.logits()[j].clone(),
-        )
+/// The quantized kernels behind batched [`lightmamba_model::advance`]:
+/// the same per-sequence block and head as the sequential
+/// [`StepModel`] decode, so the two are bit-identical per sequence.
+impl StepKernels for QuantizedMamba {
+    type Scratch = QuantScratch;
+    type Error = crate::QuantError;
+
+    fn config(&self) -> &MambaConfig {
+        &self.cfg
     }
 
-    /// Batched prefill over ragged prompts: consumes `prompts[k]` into
-    /// `states[k]` position-by-position and returns each sequence's
-    /// logits after its final prompt token (mirrors
-    /// [`lightmamba_model::MambaModel::prefill_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidConfig`] when any prompt is empty or
-    /// the slice lengths disagree; propagates step errors.
-    pub fn prefill_batch(
+    fn embed(&self, token: u32, x: &mut [f32]) -> Result<()> {
+        x.copy_from_slice(self.weights.embedding.row(token as usize)?);
+        Ok(())
+    }
+
+    fn block(
         &self,
-        prompts: &[&[u32]],
-        states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>> {
-        self.prefill_batch_with(prompts, states, &mut QuantWorkspace::new())
+        layer: usize,
+        x: &mut [f32],
+        state: &mut LayerState,
+        scratch: &mut QuantScratch,
+    ) -> Result<()> {
+        self.block_step_with(&self.weights.blocks[layer], x, state, scratch)
+    }
+
+    fn head(&self, x: &mut [f32], logits: &mut [f32], scratch: &mut QuantScratch) -> Result<()> {
+        self.logits_into(x, logits, scratch)
     }
 }
 
@@ -921,7 +684,9 @@ pub fn fake_quant_weight(t: &Tensor, scheme: QuantScheme) -> Result<Tensor> {
 mod tests {
     use super::*;
     use lightmamba_model::eval::{compare_models, ReferenceRunner};
+    use lightmamba_model::{advance, AdvanceWorkspace, LogitsBuf};
     use lightmamba_model::{corpus::SyntheticCorpus, MambaModel};
+    use lightmamba_pool::WorkerPool;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -941,30 +706,49 @@ mod tests {
         SyntheticCorpus::for_vocab(256).calibration_set(&mut StdRng::seed_from_u64(5), 2, 10)
     }
 
+    /// One advance over `items`, logits copied out per item.
+    fn run(
+        q: &QuantizedMamba,
+        items: &[(usize, &[u32])],
+        states: &mut [ModelState],
+        pool: &WorkerPool,
+    ) -> Result<Vec<Vec<f32>>> {
+        let mut out = LogitsBuf::new();
+        advance(
+            q,
+            items,
+            states,
+            pool,
+            &mut AdvanceWorkspace::new(),
+            &mut out,
+        )?;
+        Ok(out.iter().map(<[f32]>::to_vec).collect())
+    }
+
     #[test]
     fn parallel_integer_step_matches_sequential_bitwise() {
         let model = reference();
         let prepared = PreparedModel::from_reference(&model).unwrap();
         let q = QuantizedMamba::new(prepared, Precision::w4a4(32)).unwrap();
         assert_eq!(q.exec_mode(), ExecMode::Integer);
-        let pool = WorkerPool::new(4);
+        let (seq_pool, par_pool) = (WorkerPool::new(1), WorkerPool::new(4));
         let n = 6;
 
         let mut seq_states: Vec<_> = (0..n).map(|_| q.new_state()).collect();
         let mut par_states = seq_states.clone();
-        let mut seq_ws = QuantWorkspace::new();
-        let mut par_ws = ParQuantWorkspace::new();
 
         for step in 0..4u32 {
-            let items: Vec<(usize, u32)> = (0..n).map(|k| (k, step * 17 + k as u32)).collect();
-            q.forward_step_batch_indexed_with(&items, &mut seq_states, &mut seq_ws)
-                .unwrap();
-            q.forward_step_batch_indexed_par_with(&items, &mut par_states, &pool, &mut par_ws)
-                .unwrap();
-            let par_logits: Vec<&Vec<f32>> = par_ws.logits().collect();
-            assert_eq!(par_logits.len(), n);
-            for (k, seq_logits) in seq_ws.logits().iter().enumerate() {
-                assert_eq!(par_logits[k], seq_logits, "sequence {k} diverged at {step}");
+            let tokens: Vec<u32> = (0..n as u32).map(|k| step * 17 + k).collect();
+            let items: Vec<(usize, &[u32])> = tokens
+                .iter()
+                .enumerate()
+                .map(|(k, t)| (k, std::slice::from_ref(t)))
+                .collect();
+            let seq = run(&q, &items, &mut seq_states, &seq_pool).unwrap();
+            let par = run(&q, &items, &mut par_states, &par_pool).unwrap();
+            assert_eq!(par.len(), n);
+            for (k, seq_logits) in seq.iter().enumerate() {
+                assert_eq!(&par[k], seq_logits, "sequence {k} diverged at {step}");
             }
         }
         assert_eq!(par_states, seq_states, "states diverged");
@@ -1080,17 +864,23 @@ mod tests {
             seq_logits.push(last);
         }
 
-        // Batched path over external states.
+        // Batched path over external states: one ragged prefill
+        // advance, then one decode advance.
+        let pool = WorkerPool::new(1);
         let mut states: Vec<_> = (0..3).map(|_| q.new_state()).collect();
-        let finals = q.prefill_batch(&prompts, &mut states).unwrap();
-        let tokens: Vec<(usize, u32)> = finals
+        let items: Vec<(usize, &[u32])> = prompts.iter().copied().enumerate().collect();
+        let finals = run(&q, &items, &mut states, &pool).unwrap();
+        let tokens: Vec<u32> = finals
+            .iter()
+            .map(|l| lightmamba_model::MambaModel::argmax(l) as u32)
+            .collect();
+        let items: Vec<(usize, &[u32])> = tokens
             .iter()
             .enumerate()
-            .map(|(k, l)| (k, lightmamba_model::MambaModel::argmax(l) as u32))
+            .map(|(k, t)| (k, std::slice::from_ref(t)))
             .collect();
-        let batched = q.forward_step_batch_indexed(&tokens, &mut states).unwrap();
-        for (k, (slot, logits)) in batched.iter().enumerate() {
-            assert_eq!(*slot, k);
+        let batched = run(&q, &items, &mut states, &pool).unwrap();
+        for (k, logits) in batched.iter().enumerate() {
             assert_eq!(logits, &seq_logits[k], "sequence {k} diverged");
         }
     }
@@ -1114,19 +904,18 @@ mod tests {
         let model = reference();
         let prepared = PreparedModel::from_reference(&model).unwrap();
         let q = QuantizedMamba::new(prepared, precision(8, 8)).unwrap();
+        let pool = WorkerPool::new(1);
         let mut states: Vec<_> = (0..2).map(|_| q.new_state()).collect();
         let before = states.clone();
-        assert!(q
-            .forward_step_batch_indexed(&[(0, 1), (0, 2)], &mut states)
-            .is_err());
+        assert!(run(&q, &[(0, &[1]), (0, &[2])], &mut states, &pool).is_err());
         assert_eq!(states, before, "states must be untouched on error");
         // A state shaped for a different config is rejected up front.
         let mut other_cfg = MambaConfig::tiny();
         other_cfg.d_state = 32;
         let mut states = vec![q.new_state(), ModelState::new(&other_cfg)];
-        assert!(q
-            .forward_step_batch_indexed(&[(0, 1), (1, 2)], &mut states)
-            .is_err());
+        let before = states.clone();
+        assert!(run(&q, &[(0, &[1]), (1, &[2])], &mut states, &pool).is_err());
+        assert_eq!(states, before, "states must be untouched on error");
     }
 
     #[test]

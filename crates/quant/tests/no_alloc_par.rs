@@ -1,9 +1,10 @@
 //! Pins the threaded quantized hot-path contract: steady-state batched
-//! integer-W4A4 decode sharded across a 4-thread worker pool performs
-//! **zero heap allocations** on every participating thread. A counting
-//! global allocator wraps the system allocator; after warm-up (each
-//! worker's private workspace has grown to its shard's shapes) the
-//! counter must not move.
+//! integer-W4A4 advance sharded across a 4-thread worker pool performs
+//! **zero heap allocations** on every participating thread, for
+//! single-token and multi-token items alike. A counting global
+//! allocator wraps the system allocator; after warm-up (each shard's
+//! private workspace has grown to its shapes) the counter must not
+//! move.
 //!
 //! This file holds exactly one test so no parallel test can inject
 //! allocations into the measurement window.
@@ -11,10 +12,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lightmamba_model::{MambaConfig, MambaModel};
+use lightmamba_model::{advance, AdvanceWorkspace, LogitsBuf, MambaConfig, MambaModel};
 use lightmamba_pool::WorkerPool;
 use lightmamba_quant::qmodel::{ExecMode, Precision};
-use lightmamba_quant::{ParQuantWorkspace, PreparedModel, QuantizedMamba};
+use lightmamba_quant::{PreparedModel, QuantizedMamba};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,6 +44,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Token slices for every step: item `k` of step `t` feeds one to three
+/// tokens, so each step mixes decode-sized and prefill-chunk items.
+fn token_table(steps: usize, batch: usize, vocab: usize) -> Vec<Vec<Vec<u32>>> {
+    (0..steps)
+        .map(|t| {
+            (0..batch)
+                .map(|k| {
+                    (0..1 + (t + k) % 3)
+                        .map(|j| ((t * 11 + k * 5 + j * 3) % vocab) as u32)
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
 fn steady_state_parallel_quantized_decode_allocates_nothing() {
     let model = MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(3)).unwrap();
@@ -53,32 +70,33 @@ fn steady_state_parallel_quantized_decode_allocates_nothing() {
     let batch = 6;
     let pool = WorkerPool::new(4);
     let mut states: Vec<_> = (0..batch).map(|_| q.new_state()).collect();
-    let mut ws = ParQuantWorkspace::new();
-    let mut items: Vec<(usize, u32)> = (0..batch).map(|k| (k, 0u32)).collect();
+    let mut ws = AdvanceWorkspace::new();
+    let mut out = LogitsBuf::new();
+    let table = token_table(40, batch, 256);
+    let schedule: Vec<Vec<(usize, &[u32])>> = table
+        .iter()
+        .map(|step| step.iter().enumerate().map(|(k, t)| (k, &t[..])).collect())
+        .collect();
 
-    let mut step = |t: usize, states: &mut [_], ws: &mut ParQuantWorkspace| {
-        for (k, item) in items.iter_mut().enumerate() {
-            item.1 = ((t * 11 + k * 5) % 256) as u32;
-        }
-        q.forward_step_batch_indexed_par_with(&items, states, &pool, ws)
-            .unwrap();
-        assert_eq!(ws.logits().count(), batch);
+    let mut step = |t: usize, states: &mut [_]| {
+        advance(&q, &schedule[t], states, &pool, &mut ws, &mut out).unwrap();
+        assert_eq!(out.rows(), batch);
     };
 
-    // Warm-up: per-worker scratch grows to final shapes, pool settles.
+    // Warm-up: per-shard scratch grows to final shapes, pool settles.
     for t in 0..3 {
-        step(t, &mut states, &mut ws);
+        step(t, &mut states);
     }
 
     let before = ALLOCS.load(Ordering::SeqCst);
     for t in 3..40 {
-        step(t, &mut states, &mut ws);
+        step(t, &mut states);
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "steady-state 4-thread integer-W4A4 decode allocated {} times over 37 steps",
+        "steady-state 4-thread integer-W4A4 advance allocated {} times over 37 steps",
         after - before
     );
 }

@@ -1,40 +1,33 @@
 //! Pluggable execution backends for the serving engine.
 //!
-//! The engine (PR 1) drove the FP reference [`MambaModel`] directly; this
-//! module is the seam that lets it drive *any* model with the Mamba2
-//! decode contract. A [`DecodeBackend`] provides exactly what one engine
-//! step needs — state allocation, batched ragged prefill, and an indexed
-//! batched decode step — plus a [`CostProfile`] so the accelerator cost
-//! model can price each backend's steps with its own weight-stream bytes.
-//! Two implementations ship:
+//! A [`DecodeBackend`] is the seam that lets the engine drive *any*
+//! model with the Mamba2 decode contract. It provides exactly what one
+//! engine step needs — state allocation, the preemption primitives, and
+//! one batched ragged advance ([`DecodeBackend::advance_into`]) — plus
+//! a [`CostProfile`] so the accelerator cost model can price each
+//! backend's steps with its own weight-stream bytes. Two
+//! implementations ship, both thin wrappers over
+//! [`lightmamba_model::advance`]:
 //!
-//! * [`FpBackend`] — the FP16 reference path over
-//!   [`MambaModel::forward_step_batch_indexed`];
-//! * [`W4A4Backend`] — quantized execution over [`QuantizedMamba`]'s
-//!   batched decode, closing the loop between the paper's W4A4
-//!   quantization stack and the serving engine. For the W4A4 recipe the
-//!   model serves from **packed 4-bit weights** on the true-integer
-//!   kernel path, so the host really streams ~4× fewer weight bytes per
-//!   step than FP16 (0.5 bytes per weight vs the dequantized path's 4) —
-//!   the headline the paper's Fig. 9a makes for single-stream decode,
-//!   extended to multi-tenant serving and measured on the host by the
+//! * [`FpBackend`] — the FP16 reference path over [`MambaModel`];
+//! * [`W4A4Backend`] — quantized execution over [`QuantizedMamba`],
+//!   closing the loop between the paper's W4A4 quantization stack and
+//!   the serving engine. For the W4A4 recipe the model serves from
+//!   **packed 4-bit weights** on the true-integer kernel path, so the
+//!   host really streams ~4× fewer weight bytes per step than FP16 (0.5
+//!   bytes per weight vs the dequantized path's 4) — the headline the
+//!   paper's Fig. 9a makes for single-stream decode, extended to
+//!   multi-tenant serving and measured on the host by the
 //!   `bench_decode` bin.
 //!
-//! Both backends reuse internal decode workspaces across engine steps,
+//! The engine owns one [`WorkerPool`] and passes it to every advance;
+//! the advance shards its batch across the pool's threads (one thread
+//! runs one shard inline on the same path). Each backend keeps one
+//! reusable advance workspace, and the engine owns the logits buffers,
 //! so the batched forward allocates nothing in steady state (pinned by
-//! counting-allocator tests in the model and quant crates).
-//!
-//! Backends can additionally be *pooled*
-//! ([`DecodeBackend::attach_pool`]): the engine hands every registered
-//! backend one shared [`WorkerPool`], and a pooled backend shards each
-//! batched step across the pool's threads through the parallel drivers
-//! (`lightmamba_model::par`). Each worker owns its own workspace —
-//! handed out `&mut`-disjoint by `WorkerPool::run_over`, so no
-//! `RefCell` ever crosses a thread boundary — and the sharded step is
-//! **bit-identical** to the sequential one for any thread count
-//! (per-sequence arithmetic is independent; sharding only partitions
-//! the batch). Pinned by the pooled-equivalence tests below and the
-//! engine-level 1-vs-N-thread proptests.
+//! counting-allocator tests in the model, quant and serve crates).
+//! Output is **bit-identical** for any thread count: per-sequence
+//! arithmetic is independent and sharding only partitions the batch.
 //!
 //! Backends are multiplexed over one slot pool by
 //! [`crate::registry::ModelRegistry`]. To add a third backend (say a GPU
@@ -42,14 +35,15 @@
 //! scheduler, and cost model need no changes.
 
 use std::cell::RefCell;
-use std::sync::Arc;
 
 use lightmamba_accel::arch::{AcceleratorConfig, HwPrecision};
 use lightmamba_accel::platform::Platform;
-use lightmamba_model::{DecodeWorkspace, MambaConfig, MambaModel, ModelState, ParDecodeWorkspace};
+use lightmamba_model::{
+    advance, AdvanceWorkspace, BlockScratch, LogitsBuf, MambaConfig, MambaModel, ModelState,
+};
 use lightmamba_pool::WorkerPool;
-use lightmamba_quant::qmodel::QuantWorkspace;
-use lightmamba_quant::{ParQuantWorkspace, QuantizedMamba};
+use lightmamba_quant::qmodel::QuantScratch;
+use lightmamba_quant::QuantizedMamba;
 
 use crate::error::ServeError;
 
@@ -160,11 +154,12 @@ impl PausedState {
 ///
 /// The contract mirrors the engine's step loop: every resident sequence
 /// owns one fixed-size [`ModelState`] slot, and one engine step advances
-/// a chosen subset of slots by one token each
-/// ([`DecodeBackend::forward_step_batch_indexed`]). Implementations must
-/// keep batched decode bit-identical to their sequential decode so
-/// request outputs are independent of batch composition — the invariant
-/// all engine equivalence tests pin.
+/// a chosen subset of slots ([`DecodeBackend::advance_into`]) — one
+/// token for a decoding sequence, a prompt chunk for a prefilling one.
+/// Implementations must keep batched advance bit-identical to their
+/// sequential decode so request outputs are independent of batch
+/// composition, chunk size and thread count — the invariant all engine
+/// equivalence tests pin.
 ///
 /// Backends also supply the preemption primitive pair
 /// [`DecodeBackend::save_state`] / [`DecodeBackend::restore_state`]: a
@@ -179,30 +174,33 @@ impl PausedState {
 /// continuation matches the uninterrupted run exactly:
 ///
 /// ```
-/// use lightmamba_model::{MambaConfig, MambaModel};
+/// use lightmamba_model::{LogitsBuf, MambaConfig, MambaModel};
+/// use lightmamba_pool::WorkerPool;
 /// use lightmamba_serve::backend::{DecodeBackend, FpBackend};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// # fn main() -> Result<(), lightmamba_serve::ServeError> {
 /// let model = MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(1))?;
 /// let backend = FpBackend::new(&model);
+/// let pool = WorkerPool::new(1);
+/// let mut out = LogitsBuf::new();
 /// let mut states = vec![backend.new_state()];
-/// backend.prefill_batch(&[&[1, 2, 3][..]], &mut states)?;
+/// backend.advance_into(&[(0, &[1, 2, 3])], &mut states, &pool, &mut out)?;
 ///
 /// // Preempt: snapshot the state, let another sequence rewind the slot.
 /// let paused = backend.save_state(&states[0]);
 /// backend.reset_state(&mut states[0]);
-/// backend.prefill_batch(&[&[9, 9][..]], &mut states)?;
+/// backend.advance_into(&[(0, &[9, 9])], &mut states, &pool, &mut out)?;
 ///
 /// // Resume: restore the snapshot and continue where we left off.
 /// backend.restore_state(&paused, &mut states[0]);
-/// let resumed = backend.forward_step_batch_indexed(&[(0, 4)], &mut states)?;
+/// backend.advance_into(&[(0, &[4])], &mut states, &pool, &mut out)?;
+/// let resumed = out.row(0).to_vec();
 ///
 /// // Reference: the same decode with no preemption in between.
 /// let mut uninterrupted = vec![backend.new_state()];
-/// backend.prefill_batch(&[&[1, 2, 3][..]], &mut uninterrupted)?;
-/// let expect = backend.forward_step_batch_indexed(&[(0, 4)], &mut uninterrupted)?;
-/// assert_eq!(resumed, expect);
+/// backend.advance_into(&[(0, &[1, 2, 3, 4])], &mut uninterrupted, &pool, &mut out)?;
+/// assert_eq!(resumed, out.row(0));
 /// # Ok(())
 /// # }
 /// ```
@@ -243,91 +241,26 @@ pub trait DecodeBackend: Send {
         into.copy_from(paused.state());
     }
 
-    /// One batched decode step: `items[k] = (state_index, token)`
-    /// advances `states[state_index]` and yields `(state_index, logits)`
-    /// in `items` order. States not named in `items` must be untouched.
+    /// One batched ragged advance: each `items[k] = (state_index,
+    /// tokens)` feeds `tokens` (one or more) into
+    /// `states[state_index]` and writes the logits after the *final*
+    /// fed token into row `k` of `out`. A decode step is the one-token
+    /// case; a prefill chunk feeds several prompt tokens without
+    /// sampling in between. The batch is sharded across `pool`'s
+    /// threads; states not named in `items` are untouched.
     ///
     /// # Errors
     ///
-    /// Invalid tokens, out-of-range or duplicated indices, and
-    /// foreign-config states are rejected without advancing any state.
-    fn forward_step_batch_indexed(
-        &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError>;
-
-    /// Batched ragged prefill: consumes `prompts[k]` into `states[k]`
-    /// and returns each sequence's logits after its final prompt token.
-    ///
-    /// # Errors
-    ///
-    /// Rejects empty prompts and mismatched slice lengths.
-    fn prefill_batch(
-        &self,
-        prompts: &[&[u32]],
-        states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>, ServeError>;
-
-    /// Batched ragged advance — the chunked-prefill step. Each
-    /// `items[k] = (state_index, tokens)` feeds `tokens` (one or more)
-    /// into `states[state_index]` and yields `(state_index, logits)`
-    /// after the *final* fed token, in `items` order. A decode step is
-    /// the one-token case; a prefill chunk feeds several prompt tokens
-    /// without sampling in between. The recurrence is sequential per
-    /// token, so the default implementation drives
-    /// [`DecodeBackend::forward_step_batch_indexed`] once per token
-    /// position across the ragged batch — bit-identical to sequential
-    /// decode by construction, which keeps the engine's batched ≡
-    /// sequential invariant intact for any chunk size.
-    ///
-    /// # Errors
-    ///
-    /// Rejects empty token slices and whatever the underlying step
-    /// rejects (invalid tokens, bad indices, foreign states).
-    fn advance_batch_indexed(
+    /// Empty token slices, invalid tokens, out-of-range or duplicated
+    /// indices, and foreign-config states are rejected without
+    /// advancing any state.
+    fn advance_into(
         &self,
         items: &[(usize, &[u32])],
         states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
-        if let Some((slot, _)) = items.iter().find(|(_, toks)| toks.is_empty()) {
-            return Err(ServeError::InvalidConfig(format!(
-                "advance of state {slot} was given no tokens"
-            )));
-        }
-        let max_len = items.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
-        let mut last: Vec<Option<Vec<f32>>> = vec![None; items.len()];
-        for j in 0..max_len {
-            let live: Vec<usize> = (0..items.len()).filter(|&k| j < items[k].1.len()).collect();
-            let step_items: Vec<(usize, u32)> =
-                live.iter().map(|&k| (items[k].0, items[k].1[j])).collect();
-            let results = self.forward_step_batch_indexed(&step_items, states)?;
-            for (&k, (slot, logits)) in live.iter().zip(results) {
-                debug_assert_eq!(items[k].0, slot);
-                last[k] = Some(logits);
-            }
-        }
-        Ok(items
-            .iter()
-            .zip(last)
-            .map(|(&(slot, _), logits)| (slot, logits.expect("every item fed at least one token")))
-            .collect())
-    }
-
-    /// Attaches a shared worker pool for multi-core engine steps. The
-    /// default ignores it — a backend opts into parallel execution by
-    /// storing the pool and routing its batched calls through the
-    /// sharded drivers (both shipped backends do). Implementations must
-    /// keep pooled output **bit-identical** to the single-thread path:
-    /// attaching a pool may change how fast a step runs, never what a
-    /// request generates.
-    fn attach_pool(&mut self, _pool: &Arc<WorkerPool>) {}
-
-    /// Threads this backend's batched calls execute on (1 = no pool
-    /// attached, sequential execution).
-    fn pool_threads(&self) -> usize {
-        1
-    }
+        pool: &WorkerPool,
+        out: &mut LogitsBuf,
+    ) -> Result<(), ServeError>;
 
     /// Engine-step heartbeat: called once per [`crate::engine::ServeEngine::step`]
     /// for *every* registered backend, whether or not the backend has
@@ -342,7 +275,7 @@ pub trait DecodeBackend: Send {
     /// on this backend returned an error or panicked, before the
     /// backend is quarantined. Implementations discard any internal
     /// scratch that an unwind may have left torn (the shipped backends
-    /// rebuild their `RefCell` workspaces — a `RefMut` releases its
+    /// rebuild their `RefCell` workspace — a `RefMut` releases its
     /// borrow during unwind, so the borrow itself is clean, but the
     /// workspace *contents* may hold a half-written step). This is the
     /// cold path; allocating here is fine.
@@ -352,34 +285,18 @@ pub trait DecodeBackend: Send {
     fn cost_profile(&self) -> CostProfile;
 }
 
-/// Workspace pair of a backend: the sequential single-workspace path
-/// plus the per-shard parallel workspaces. Both live behind one
-/// `RefCell` because the trait takes `&self` and the engine serializes
-/// all backend calls, so the borrow is never contended. On the pooled
-/// path the parallel workspaces are handed to the worker pool
-/// one-per-shard as disjoint `&mut`s (`WorkerPool::run_over`), so the
-/// `RefCell` itself never crosses a thread boundary — only plain
-/// mutable borrows of its interior do.
-#[derive(Debug, Clone, Default)]
-struct Workspaces<Seq, Par> {
-    seq: Seq,
-    par: Par,
-}
-
-/// The FP reference backend over [`MambaModel`]'s batched decode.
+/// The FP reference backend over [`MambaModel`]'s batched advance.
 ///
-/// The backend owns reusable workspaces (behind a `RefCell` since the
-/// trait takes `&self`), so every engine step runs the allocation-free
-/// `_with` decode path: residual streams, kernel scratch, and the
-/// validation bitmap are reused across steps, and only the returned
-/// logits vectors allocate. With a pool attached
-/// ([`DecodeBackend::attach_pool`]), multi-sequence steps shard across
-/// the pool's threads — bit-identically to the sequential path.
+/// The backend owns one reusable advance workspace (behind a `RefCell`
+/// since the trait takes `&self`; the engine serializes all backend
+/// calls, so the borrow is never contended), so every engine step runs
+/// allocation-free. On a multi-thread pool the workspace's per-shard
+/// buffers are handed out as disjoint `&mut`s by `WorkerPool::run_over`
+/// — the `RefCell` itself never crosses a thread boundary.
 #[derive(Debug, Clone)]
 pub struct FpBackend<'m> {
     model: &'m MambaModel,
-    ws: RefCell<Workspaces<DecodeWorkspace, ParDecodeWorkspace>>,
-    pool: Option<Arc<WorkerPool>>,
+    ws: RefCell<AdvanceWorkspace<BlockScratch>>,
 }
 
 impl<'m> FpBackend<'m> {
@@ -387,8 +304,7 @@ impl<'m> FpBackend<'m> {
     pub fn new(model: &'m MambaModel) -> Self {
         FpBackend {
             model,
-            ws: RefCell::new(Workspaces::default()),
-            pool: None,
+            ws: RefCell::default(),
         }
     }
 
@@ -411,61 +327,22 @@ impl DecodeBackend for FpBackend<'_> {
         self.model.new_state()
     }
 
-    fn forward_step_batch_indexed(
+    fn advance_into(
         &self,
-        items: &[(usize, u32)],
+        items: &[(usize, &[u32])],
         states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
+        pool: &WorkerPool,
+        out: &mut LogitsBuf,
+    ) -> Result<(), ServeError> {
         let mut ws = self.ws.borrow_mut();
-        if let Some(pool) = self.pool.as_ref().filter(|_| items.len() > 1) {
-            self.model
-                .forward_step_batch_indexed_par_with(items, states, pool, &mut ws.par)?;
-            return Ok(items
-                .iter()
-                .map(|&(slot, _)| slot)
-                .zip(ws.par.logits().cloned())
-                .collect());
-        }
-        self.model
-            .forward_step_batch_indexed_with(items, states, &mut ws.seq)?;
-        Ok(items
-            .iter()
-            .map(|&(slot, _)| slot)
-            .zip(ws.seq.logits().iter().cloned())
-            .collect())
-    }
-
-    fn prefill_batch(
-        &self,
-        prompts: &[&[u32]],
-        states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>, ServeError> {
-        let mut ws = self.ws.borrow_mut();
-        match self.pool.as_ref().filter(|_| prompts.len() > 1) {
-            Some(pool) => {
-                Ok(self
-                    .model
-                    .prefill_batch_par_with(prompts, states, pool, &mut ws.par)?)
-            }
-            None => Ok(self
-                .model
-                .prefill_batch_with(prompts, states, &mut ws.seq)?),
-        }
-    }
-
-    fn attach_pool(&mut self, pool: &Arc<WorkerPool>) {
-        self.pool = (pool.threads() > 1).then(|| Arc::clone(pool));
-    }
-
-    fn pool_threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, |p| p.threads())
+        Ok(advance(self.model, items, states, pool, &mut ws, out)?)
     }
 
     fn reset_after_fault(&self) {
         // A panic mid-step may have left half-written residual streams
-        // or shard logits in the reusable workspaces; rebuild them from
-        // scratch (cold path, re-grown lazily by the next step).
-        *self.ws.borrow_mut() = Workspaces::default();
+        // in the reusable workspace; rebuild it from scratch (cold path,
+        // re-grown lazily by the next step).
+        self.ws.take();
     }
 
     fn cost_profile(&self) -> CostProfile {
@@ -473,12 +350,12 @@ impl DecodeBackend for FpBackend<'_> {
     }
 }
 
-/// Quantized execution backend over [`QuantizedMamba`]'s batched decode.
+/// Quantized execution backend over [`QuantizedMamba`]'s batched advance.
 ///
 /// For packable precisions (the W4A4 recipe) the wrapped model serves
 /// from **packed 4-bit weights** on the true-integer kernel path
 /// ([`lightmamba_quant::kernels`]), not from dequantized f32 tensors,
-/// and the backend reuses a [`QuantWorkspace`] across steps so the
+/// and the backend reuses one advance workspace across steps so the
 /// decode hot path is allocation-free. Despite the name (the paper's
 /// headline W4A4 recipe), any [`lightmamba_quant::qmodel::Precision`]
 /// works; the cost profile is derived from the wrapped model:
@@ -493,8 +370,7 @@ pub struct W4A4Backend {
     model: QuantizedMamba,
     name: String,
     profile: CostProfile,
-    ws: RefCell<Workspaces<QuantWorkspace, ParQuantWorkspace>>,
-    pool: Option<Arc<WorkerPool>>,
+    ws: RefCell<AdvanceWorkspace<QuantScratch>>,
 }
 
 impl W4A4Backend {
@@ -517,8 +393,7 @@ impl W4A4Backend {
             model,
             name,
             profile,
-            ws: RefCell::new(Workspaces::default()),
-            pool: None,
+            ws: RefCell::default(),
         }
     }
 
@@ -541,60 +416,21 @@ impl DecodeBackend for W4A4Backend {
         self.model.new_state()
     }
 
-    fn forward_step_batch_indexed(
+    fn advance_into(
         &self,
-        items: &[(usize, u32)],
+        items: &[(usize, &[u32])],
         states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
+        pool: &WorkerPool,
+        out: &mut LogitsBuf,
+    ) -> Result<(), ServeError> {
         let mut ws = self.ws.borrow_mut();
-        if let Some(pool) = self.pool.as_ref().filter(|_| items.len() > 1) {
-            self.model
-                .forward_step_batch_indexed_par_with(items, states, pool, &mut ws.par)?;
-            return Ok(items
-                .iter()
-                .map(|&(slot, _)| slot)
-                .zip(ws.par.logits().cloned())
-                .collect());
-        }
-        self.model
-            .forward_step_batch_indexed_with(items, states, &mut ws.seq)?;
-        Ok(items
-            .iter()
-            .map(|&(slot, _)| slot)
-            .zip(ws.seq.logits().iter().cloned())
-            .collect())
-    }
-
-    fn prefill_batch(
-        &self,
-        prompts: &[&[u32]],
-        states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>, ServeError> {
-        let mut ws = self.ws.borrow_mut();
-        match self.pool.as_ref().filter(|_| prompts.len() > 1) {
-            Some(pool) => {
-                Ok(self
-                    .model
-                    .prefill_batch_par_with(prompts, states, pool, &mut ws.par)?)
-            }
-            None => Ok(self
-                .model
-                .prefill_batch_with(prompts, states, &mut ws.seq)?),
-        }
-    }
-
-    fn attach_pool(&mut self, pool: &Arc<WorkerPool>) {
-        self.pool = (pool.threads() > 1).then(|| Arc::clone(pool));
-    }
-
-    fn pool_threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, |p| p.threads())
+        Ok(advance(&self.model, items, states, pool, &mut ws, out)?)
     }
 
     fn reset_after_fault(&self) {
         // Same recovery as the FP backend: discard possibly-torn
         // scratch; the next step re-grows it.
-        *self.ws.borrow_mut() = Workspaces::default();
+        self.ws.take();
     }
 
     fn cost_profile(&self) -> CostProfile {
@@ -605,6 +441,7 @@ impl DecodeBackend for W4A4Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lightmamba_model::ModelError;
     use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -613,52 +450,62 @@ mod tests {
         MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(9)).unwrap()
     }
 
+    /// One advance on `pool`, logits copied out per item.
+    fn run(
+        backend: &dyn DecodeBackend,
+        items: &[(usize, &[u32])],
+        states: &mut [ModelState],
+        pool: &WorkerPool,
+    ) -> Result<Vec<Vec<f32>>, ServeError> {
+        let mut out = LogitsBuf::new();
+        backend.advance_into(items, states, pool, &mut out)?;
+        Ok(out.iter().map(<[f32]>::to_vec).collect())
+    }
+
     #[test]
     fn fp_backend_delegates_to_reference_model() {
         let model = tiny_model();
         let backend = FpBackend::new(&model);
+        let pool = WorkerPool::new(1);
         assert_eq!(backend.name(), "fp");
         let mut states = vec![backend.new_state(), backend.new_state()];
-        let prompts: [&[u32]; 2] = [&[1, 2, 3], &[9]];
-        let batched = backend.prefill_batch(&prompts, &mut states).unwrap();
+        let batched = run(&backend, &[(0, &[1, 2, 3]), (1, &[9])], &mut states, &pool).unwrap();
         let mut direct = model.new_state();
         let expect = model.prefill(&[1, 2, 3], &mut direct).unwrap();
         assert_eq!(batched[0], expect);
-        let out = backend
-            .forward_step_batch_indexed(&[(0, 4)], &mut states)
-            .unwrap();
-        assert_eq!(out[0].0, 0);
-        assert_eq!(out[0].1, model.forward_step(4, &mut direct).unwrap());
+        let out = run(&backend, &[(0, &[4])], &mut states, &pool).unwrap();
+        assert_eq!(out[0], model.forward_step(4, &mut direct).unwrap());
     }
 
     #[test]
     fn ragged_advance_matches_whole_prompt_prefill() {
-        // Feeding a prompt in uneven chunks through advance_batch_indexed
-        // lands on exactly the logits one-shot prefill produces.
+        // Feeding a prompt in uneven chunks through advance_into lands
+        // on exactly the logits one-shot prefill produces.
         let model = tiny_model();
         let backend = FpBackend::new(&model);
+        let pool = WorkerPool::new(1);
         let prompt: Vec<u32> = vec![4, 9, 1, 7, 3, 2, 8];
         let mut chunked = vec![backend.new_state(), backend.new_state()];
         // Sequence 0 takes the prompt in chunks of 3/3/1; sequence 1
         // (a shorter prompt) rides the same ragged batches.
-        let out1 = backend
-            .advance_batch_indexed(&[(0, &prompt[..3]), (1, &[5u32, 6][..])], &mut chunked)
-            .unwrap();
+        let out1 = run(
+            &backend,
+            &[(0, &prompt[..3]), (1, &[5u32, 6][..])],
+            &mut chunked,
+            &pool,
+        )
+        .unwrap();
         assert_eq!(out1.len(), 2);
-        let out2 = backend
-            .advance_batch_indexed(&[(0, &prompt[3..6])], &mut chunked)
-            .unwrap();
-        assert_eq!(out2[0].0, 0);
-        let out3 = backend
-            .advance_batch_indexed(&[(0, &prompt[6..])], &mut chunked)
-            .unwrap();
+        let out2 = run(&backend, &[(0, &prompt[3..6])], &mut chunked, &pool).unwrap();
+        assert_eq!(out2.len(), 1);
+        let out3 = run(&backend, &[(0, &prompt[6..])], &mut chunked, &pool).unwrap();
 
         let mut reference = model.new_state();
         let expect = model.prefill(&prompt, &mut reference).unwrap();
-        assert_eq!(out3[0].1, expect);
+        assert_eq!(out3[0], expect);
         let mut ref1 = model.new_state();
         let expect1 = model.prefill(&[5, 6], &mut ref1).unwrap();
-        assert_eq!(out1[1].1, expect1);
+        assert_eq!(out1[1], expect1);
     }
 
     #[test]
@@ -670,70 +517,54 @@ mod tests {
         let q = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap();
         let fp = FpBackend::new(&model);
         let w4 = W4A4Backend::new(q);
+        let pool = WorkerPool::new(1);
         for backend in [&fp as &dyn DecodeBackend, &w4 as &dyn DecodeBackend] {
             let mut states = vec![backend.new_state()];
-            backend
-                .prefill_batch(&[&[3, 1, 4][..]], &mut states)
-                .unwrap();
+            run(backend, &[(0, &[3, 1, 4])], &mut states, &pool).unwrap();
             let paused = backend.save_state(&states[0]);
             backend.reset_state(&mut states[0]);
-            backend
-                .prefill_batch(&[&[200, 200, 200, 200][..]], &mut states)
-                .unwrap();
+            run(backend, &[(0, &[200, 200, 200, 200])], &mut states, &pool).unwrap();
             backend.restore_state(&paused, &mut states[0]);
-            let resumed = backend
-                .forward_step_batch_indexed(&[(0, 7)], &mut states)
-                .unwrap();
+            let resumed = run(backend, &[(0, &[7])], &mut states, &pool).unwrap();
 
             let mut reference = vec![backend.new_state()];
-            backend
-                .prefill_batch(&[&[3, 1, 4][..]], &mut reference)
-                .unwrap();
-            let expect = backend
-                .forward_step_batch_indexed(&[(0, 7)], &mut reference)
-                .unwrap();
+            run(backend, &[(0, &[3, 1, 4])], &mut reference, &pool).unwrap();
+            let expect = run(backend, &[(0, &[7])], &mut reference, &pool).unwrap();
             assert_eq!(resumed, expect, "{} diverged after resume", backend.name());
         }
     }
 
     #[test]
     fn pooled_backends_match_sequential_bitwise() {
-        // Attach a 4-thread pool to one copy of each backend and drive
-        // the same multi-sequence prefill + decode through both copies:
-        // outputs and final states must be bit-identical, because
-        // sharding only partitions the batch.
+        // Drive the same multi-sequence prefill + decode through each
+        // backend on a 4-thread pool and on a 1-thread pool: outputs
+        // and final states must be bit-identical, because sharding
+        // only partitions the batch.
         let model = tiny_model();
         let q = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap();
-        let pool = Arc::new(WorkerPool::new(4));
-        let mut fp_pooled = FpBackend::new(&model);
-        let mut w4_pooled = W4A4Backend::new(q.clone());
-        fp_pooled.attach_pool(&pool);
-        w4_pooled.attach_pool(&pool);
-        assert_eq!(fp_pooled.pool_threads(), 4);
-        let fp_seq = FpBackend::new(&model);
-        let w4_seq = W4A4Backend::new(q);
-        assert_eq!(fp_seq.pool_threads(), 1);
-        let pairs: [(&dyn DecodeBackend, &dyn DecodeBackend); 2] =
-            [(&fp_pooled, &fp_seq), (&w4_pooled, &w4_seq)];
-        for (pooled, seq) in pairs {
+        let (pooled, seq) = (WorkerPool::new(4), WorkerPool::new(1));
+        let fp = FpBackend::new(&model);
+        let w4 = W4A4Backend::new(q);
+        for backend in [&fp as &dyn DecodeBackend, &w4 as &dyn DecodeBackend] {
             let prompts: Vec<Vec<u32>> = (0..5).map(|k| vec![1 + k, 2 + k, 3]).collect();
-            let prompt_refs: Vec<&[u32]> = prompts.iter().map(|p| &p[..]).collect();
-            let mut sp = vec![pooled.new_state(); 5];
-            let mut ss = vec![seq.new_state(); 5];
-            let pre_p = pooled.prefill_batch(&prompt_refs, &mut sp).unwrap();
-            let pre_s = seq.prefill_batch(&prompt_refs, &mut ss).unwrap();
-            assert_eq!(pre_p, pre_s, "{} prefill diverged", pooled.name());
+            let items: Vec<(usize, &[u32])> = prompts
+                .iter()
+                .enumerate()
+                .map(|(k, p)| (k, &p[..]))
+                .collect();
+            let mut sp = vec![backend.new_state(); 5];
+            let mut ss = vec![backend.new_state(); 5];
+            let pre_p = run(backend, &items, &mut sp, &pooled).unwrap();
+            let pre_s = run(backend, &items, &mut ss, &seq).unwrap();
+            assert_eq!(pre_p, pre_s, "{} prefill diverged", backend.name());
             for t in 0..4u32 {
-                let items: Vec<(usize, u32)> = (0..5).map(|k| (k, 10 + t)).collect();
-                let out_p = pooled.forward_step_batch_indexed(&items, &mut sp).unwrap();
-                let out_s = seq.forward_step_batch_indexed(&items, &mut ss).unwrap();
-                assert_eq!(out_p, out_s, "{} step {t} diverged", pooled.name());
+                let tok = [10 + t];
+                let items: Vec<(usize, &[u32])> = (0..5).map(|k| (k, &tok[..])).collect();
+                let out_p = run(backend, &items, &mut sp, &pooled).unwrap();
+                let out_s = run(backend, &items, &mut ss, &seq).unwrap();
+                assert_eq!(out_p, out_s, "{} step {t} diverged", backend.name());
             }
-            for (a, b) in sp.iter().zip(&ss) {
-                for (la, lb) in a.layers.iter().zip(&b.layers) {
-                    assert_eq!(la.h, lb.h);
-                }
-            }
+            assert_eq!(sp, ss, "{} states diverged", backend.name());
         }
     }
 
@@ -745,24 +576,58 @@ mod tests {
         let q = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap();
         let fp = FpBackend::new(&model);
         let w4 = W4A4Backend::new(q);
+        let pool = WorkerPool::new(1);
         for backend in [&fp as &dyn DecodeBackend, &w4 as &dyn DecodeBackend] {
             let mut states = vec![backend.new_state()];
-            backend
-                .prefill_batch(&[&[3, 1, 4][..]], &mut states)
-                .unwrap();
+            run(backend, &[(0, &[3, 1, 4])], &mut states, &pool).unwrap();
             backend.reset_after_fault();
-            let after = backend
-                .forward_step_batch_indexed(&[(0, 7)], &mut states)
-                .unwrap();
+            let after = run(backend, &[(0, &[7])], &mut states, &pool).unwrap();
 
             let mut reference = vec![backend.new_state()];
-            backend
-                .prefill_batch(&[&[3, 1, 4][..]], &mut reference)
-                .unwrap();
-            let expect = backend
-                .forward_step_batch_indexed(&[(0, 7)], &mut reference)
-                .unwrap();
+            run(backend, &[(0, &[3, 1, 4])], &mut reference, &pool).unwrap();
+            let expect = run(backend, &[(0, &[7])], &mut reference, &pool).unwrap();
             assert_eq!(after, expect, "{} diverged after reset", backend.name());
+        }
+    }
+
+    #[test]
+    fn bad_token_leaves_every_state_untouched() {
+        // The second item's out-of-vocab token sits at position 2 of a
+        // chunk: the whole advance must fail before any position runs,
+        // on either backend and thread count.
+        let model = tiny_model();
+        let q = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap();
+        let fp = FpBackend::new(&model);
+        let w4 = W4A4Backend::new(q);
+        let bad = model.config().vocab_size as u32;
+        for backend in [&fp as &dyn DecodeBackend, &w4 as &dyn DecodeBackend] {
+            for threads in [1, 4] {
+                let pool = WorkerPool::new(threads);
+                let mut states = vec![backend.new_state(); 3];
+                run(
+                    backend,
+                    &[(0, &[5, 6]), (1, &[7]), (2, &[8])],
+                    &mut states,
+                    &pool,
+                )
+                .unwrap();
+                let before = states.clone();
+                let err = run(
+                    backend,
+                    &[(0, &[1, 2, 3]), (1, &[4, 5, bad, 6]), (2, &[9])],
+                    &mut states,
+                    &pool,
+                );
+                assert!(
+                    matches!(
+                        err,
+                        Err(ServeError::Model(ModelError::TokenOutOfRange { .. }))
+                    ),
+                    "{} on {threads} thread(s): {err:?}",
+                    backend.name()
+                );
+                assert_eq!(states, before, "{} advanced a state", backend.name());
+            }
         }
     }
 
@@ -785,9 +650,7 @@ mod tests {
         let model = tiny_model();
         let backend = FpBackend::new(&model);
         let mut states = vec![backend.new_state()];
-        let err = backend
-            .advance_batch_indexed(&[(0, &[][..])], &mut states)
-            .unwrap_err();
+        let err = run(&backend, &[(0, &[])], &mut states, &WorkerPool::new(1)).unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)), "{err:?}");
     }
 

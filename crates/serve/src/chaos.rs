@@ -25,7 +25,8 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use lightmamba_model::{MambaConfig, ModelState};
+use lightmamba_model::{LogitsBuf, MambaConfig, ModelState};
+use lightmamba_pool::WorkerPool;
 
 use crate::backend::{CostProfile, DecodeBackend, PausedState};
 use crate::error::ServeError;
@@ -239,27 +240,13 @@ impl DecodeBackend for ChaosBackend<'_> {
         }
     }
 
-    fn forward_step_batch_indexed(
-        &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
-        self.inner.forward_step_batch_indexed(items, states)
-    }
-
-    fn prefill_batch(
-        &self,
-        prompts: &[&[u32]],
-        states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>, ServeError> {
-        self.inner.prefill_batch(prompts, states)
-    }
-
-    fn advance_batch_indexed(
+    fn advance_into(
         &self,
         items: &[(usize, &[u32])],
         states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
+        pool: &WorkerPool,
+        out: &mut LogitsBuf,
+    ) -> Result<(), ServeError> {
         let clock = self.clock.get();
         if self.corrupt_pending.replace(false) {
             return Err(self.fault(format!(
@@ -281,15 +268,7 @@ impl DecodeBackend for ChaosBackend<'_> {
                 FaultKind::RestoreCorruption => {}
             }
         }
-        self.inner.advance_batch_indexed(items, states)
-    }
-
-    fn attach_pool(&mut self, pool: &std::sync::Arc<lightmamba_pool::WorkerPool>) {
-        self.inner.attach_pool(pool);
-    }
-
-    fn pool_threads(&self) -> usize {
-        self.inner.pool_threads()
+        self.inner.advance_into(items, states, pool, out)
     }
 
     fn on_step(&self, clock: u64) {
@@ -318,6 +297,17 @@ mod tests {
 
     fn tiny_model() -> MambaModel {
         MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(9)).unwrap()
+    }
+
+    /// One single-thread advance, logits copied out per item.
+    fn run(
+        b: &dyn DecodeBackend,
+        items: &[(usize, &[u32])],
+        states: &mut [ModelState],
+    ) -> Result<Vec<Vec<f32>>, ServeError> {
+        let mut out = LogitsBuf::new();
+        b.advance_into(items, states, &WorkerPool::new(1), &mut out)?;
+        Ok(out.iter().map(<[f32]>::to_vec).collect())
     }
 
     #[test]
@@ -353,11 +343,9 @@ mod tests {
         let mut s1 = vec![plain.new_state()];
         let mut s2 = vec![wrapped.new_state()];
         let toks: &[u32] = &[1, 2, 3];
-        let r1 = plain.advance_batch_indexed(&[(0, toks)], &mut s1).unwrap();
+        let r1 = run(&plain, &[(0, toks)], &mut s1).unwrap();
         wrapped.on_step(0);
-        let r2 = wrapped
-            .advance_batch_indexed(&[(0, toks)], &mut s2)
-            .unwrap();
+        let r2 = run(&wrapped, &[(0, toks)], &mut s2).unwrap();
         assert_eq!(r1, r2);
         assert_eq!(wrapped.injected(), 0);
     }
@@ -375,14 +363,12 @@ mod tests {
         let toks: &[u32] = &[1];
 
         b.on_step(4);
-        assert!(b.advance_batch_indexed(&[(0, toks)], &mut states).is_ok());
+        assert!(run(&b, &[(0, toks)], &mut states).is_ok());
         b.on_step(5);
-        let err = b
-            .advance_batch_indexed(&[(0, toks)], &mut states)
-            .unwrap_err();
+        let err = run(&b, &[(0, toks)], &mut states).unwrap_err();
         assert!(matches!(err, ServeError::BackendFault { ref model, .. } if model == "fp"));
         b.on_step(7);
-        assert!(b.advance_batch_indexed(&[(0, toks)], &mut states).is_ok());
+        assert!(run(&b, &[(0, toks)], &mut states).is_ok());
         assert_eq!(b.injected(), 1);
     }
 
@@ -407,7 +393,7 @@ mod tests {
 
         b.on_step(2);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = b.advance_batch_indexed(&[(0, toks)], &mut states);
+            let _ = run(&b, &[(0, toks)], &mut states);
         }));
         assert!(panicked.is_err());
         b.reset_after_fault();
@@ -419,15 +405,13 @@ mod tests {
         let mut into = b.new_state();
         b.restore_state(&saved, &mut into);
         b.on_step(11);
-        let err = b
-            .advance_batch_indexed(&[(0, toks)], &mut states)
-            .unwrap_err();
+        let err = run(&b, &[(0, toks)], &mut states).unwrap_err();
         assert!(matches!(err, ServeError::BackendFault { .. }));
-        assert!(b.advance_batch_indexed(&[(0, toks)], &mut states).is_ok());
+        assert!(run(&b, &[(0, toks)], &mut states).is_ok());
 
         // A restore outside any window is clean.
         b.on_step(20);
         b.restore_state(&saved, &mut into);
-        assert!(b.advance_batch_indexed(&[(0, toks)], &mut states).is_ok());
+        assert!(run(&b, &[(0, toks)], &mut states).is_ok());
     }
 }

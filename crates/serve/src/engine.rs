@@ -48,13 +48,12 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use lightmamba_model::MambaModel;
+use lightmamba_model::{LogitsBuf, MambaModel};
 use lightmamba_obs::recorder::{FaultKind, LifecyclePhase, StepRecord};
 use lightmamba_pool::WorkerPool;
 
@@ -68,6 +67,17 @@ use crate::request::{Completion, FinishReason, GenRequest, Priority, RequestId};
 use crate::resilience::{BackendHealth, DegradationController, HealthTracker, ResilienceConfig};
 use crate::scheduler::{AdmissionCtx, Policy, SeqView, TokenBudget};
 use crate::slots::SlotPool;
+
+/// Empties an item list and hands its allocation back under a fresh
+/// borrow lifetime, so the engine reuses one buffer of borrowed feed
+/// slices across steps instead of allocating one per sub-batch. The
+/// element layout is unchanged, so std's in-place collect keeps the
+/// buffer (an optimization, not a language guarantee: without it this
+/// costs one allocation per step, never a wrong result).
+fn recycle_items<'b>(mut items: Vec<(usize, &[u32])>) -> Vec<(usize, &'b [u32])> {
+    items.clear();
+    items.into_iter().map(|(slot, _)| (slot, &[][..])).collect()
+}
 
 /// Human-readable description of a caught panic payload (`panic!` with
 /// a literal yields `&str`, with a format string yields `String`).
@@ -287,13 +297,13 @@ pub struct EngineConfig {
     /// budgets speed prefill `chunk×` while bounding how long any one
     /// prompt can monopolize a step's work.
     pub prefill_chunk: usize,
-    /// Host threads executing each batched model step (≥ 1). 1 runs
-    /// every backend sequentially; larger values build one shared
-    /// [`WorkerPool`] at construction and attach it to every registered
-    /// backend, which then shard each per-model sub-batch across the
-    /// pool. Outputs are **bit-identical** for any thread count (pinned
-    /// by the engine equivalence proptests), so this knob trades host
-    /// wall-clock only — never results.
+    /// Host threads executing each batched model step (≥ 1). The
+    /// engine owns one [`WorkerPool`] of this width and passes it to
+    /// every backend advance, which shards each per-model sub-batch
+    /// across it (1 runs inline on the calling thread). Outputs are
+    /// **bit-identical** for any thread count (pinned by the engine
+    /// equivalence proptests), so this knob trades host wall-clock
+    /// only — never results.
     pub threads: usize,
     /// Token-level admission caps layered under every policy
     /// ([`TokenBudget`]); `None` (the default) keeps slot-only
@@ -324,10 +334,16 @@ impl Default for EngineConfig {
 pub struct ServeEngine<'m> {
     registry: ModelRegistry<'m>,
     pool: SlotPool,
-    /// The shared worker pool when [`EngineConfig::threads`] > 1; every
-    /// registered backend holds a clone and shards its sub-batches over
-    /// it. `None` means sequential execution.
-    workers: Option<Arc<WorkerPool>>,
+    /// The worker pool every backend advance shards its sub-batch over
+    /// ([`EngineConfig::threads`] wide; one thread runs inline).
+    workers: WorkerPool,
+    /// Per-model logits of the latest advance, reused across steps.
+    logits: Vec<LogitsBuf>,
+    /// Per active sequence, its row in its model's logits buffer.
+    logit_rows: Vec<usize>,
+    /// The advance's item list, kept empty between steps so its
+    /// allocation is reused (see [`recycle_items`]).
+    items: Vec<(usize, &'static [u32])>,
     cfg: EngineConfig,
     /// Future arrivals, sorted by `arrival_step` (then id).
     pending: VecDeque<GenRequest>,
@@ -432,7 +448,7 @@ impl<'m> ServeEngine<'m> {
     /// Returns [`ServeError::InvalidConfig`] for a zero-slot pool, a
     /// zero prefill chunk, or an empty registry.
     pub fn with_registry(
-        mut registry: ModelRegistry<'m>,
+        registry: ModelRegistry<'m>,
         cfg: EngineConfig,
     ) -> Result<Self, ServeError> {
         if cfg.slots == 0 {
@@ -463,17 +479,15 @@ impl<'m> ServeEngine<'m> {
                 "prefix cache of 0 entries (use None to disable)".into(),
             ));
         }
-        let workers = (cfg.threads > 1).then(|| {
-            let pool = Arc::new(WorkerPool::new(cfg.threads));
-            registry.attach_pool(&pool);
-            pool
-        });
         let template = registry.new_state();
         let n_models = registry.len();
         Ok(ServeEngine {
             registry,
             pool: SlotPool::new(&template, cfg.slots),
-            workers,
+            workers: WorkerPool::new(cfg.threads),
+            logits: vec![LogitsBuf::new(); n_models],
+            logit_rows: Vec::new(),
+            items: Vec::new(),
             cfg,
             pending: VecDeque::new(),
             waiting: Vec::new(),
@@ -585,7 +599,7 @@ impl<'m> ServeEngine<'m> {
     /// Threads executing each batched model step (1 = sequential; see
     /// [`EngineConfig::threads`]).
     pub fn worker_threads(&self) -> usize {
-        self.workers.as_ref().map_or(1, |p| p.threads())
+        self.workers.threads()
     }
 
     /// Submits requests; they enter the waiting queue at their
@@ -594,9 +608,11 @@ impl<'m> ServeEngine<'m> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] for empty prompts or
-    /// out-of-order arrivals, and [`ServeError::UnknownModel`] for a
-    /// request naming a model the registry does not hold.
+    /// Returns [`ServeError::InvalidConfig`] for empty prompts, prompt
+    /// tokens outside the target model's vocabulary, or out-of-order
+    /// arrivals, and [`ServeError::UnknownModel`] for a request naming
+    /// a model the registry does not hold. Requests before the first
+    /// rejected one are queued.
     pub fn submit(&mut self, requests: Vec<GenRequest>) -> Result<(), ServeError> {
         for r in requests {
             if r.prompt.is_empty() {
@@ -605,12 +621,19 @@ impl<'m> ServeEngine<'m> {
                     r.id
                 )));
             }
-            if r.model >= self.registry.len() {
+            let Some(backend) = self.registry.get(r.model) else {
                 return Err(ServeError::UnknownModel(format!(
                     "request {} names model id {} but only {} model(s) are registered",
                     r.id,
                     r.model,
                     self.registry.len()
+                )));
+            };
+            let vocab = backend.config().vocab_size;
+            if let Some(&t) = r.prompt.iter().find(|&&t| t as usize >= vocab) {
+                return Err(ServeError::InvalidConfig(format!(
+                    "request {} has prompt token {t} outside model {}'s vocabulary of {vocab}",
+                    r.id, r.model
                 )));
             }
             if let Some(back) = self.pending.back() {
@@ -1476,7 +1499,6 @@ impl<'m> ServeEngine<'m> {
         let total_batch = self.active.len();
         let mut sub_batches = vec![0usize; self.registry.len()];
         let mut sub_processed = vec![0usize; self.registry.len()];
-        let mut step_logits: Vec<Option<Vec<f32>>> = vec![None; total_batch];
         let mut step_shards = 0u64;
         // Each backend is one fault domain: its advance runs under a
         // panic catch, so an error return or a panic fails only that
@@ -1484,17 +1506,20 @@ impl<'m> ServeEngine<'m> {
         // land normally and the engine survives. At most one fault per
         // model per step; `true` marks a caught panic.
         let mut faulted: Vec<Option<bool>> = vec![None; self.registry.len()];
+        self.logit_rows.clear();
+        self.logit_rows.resize(self.active.len(), 0);
+        let mut items = recycle_items(std::mem::take(&mut self.items));
         for (mid, _, backend) in self.registry.iter() {
-            let idxs: Vec<usize> = (0..self.active.len())
-                .filter(|&i| self.active[i].req.model == mid)
-                .collect();
-            if idxs.is_empty() {
+            items.clear();
+            for (i, seq) in self.active.iter().enumerate() {
+                if seq.req.model == mid {
+                    self.logit_rows[i] = items.len();
+                    items.push((seq.slot, seq.feed(chunk)));
+                }
+            }
+            if items.is_empty() {
                 continue;
             }
-            let items: Vec<(usize, &[u32])> = idxs
-                .iter()
-                .map(|&i| (self.active[i].slot, self.active[i].feed(chunk)))
-                .collect();
             let fed: usize = items.iter().map(|(_, toks)| toks.len()).sum();
             if let Some(o) = self.obs.as_deref_mut() {
                 o.spans.begin("sub_batch", cat, self.clock);
@@ -1505,15 +1530,16 @@ impl<'m> ServeEngine<'m> {
             // slots released, and `SlotPool::alloc` re-zeroes states on
             // reuse — torn state cannot reach a later request.
             let states = self.pool.states_mut();
+            let (workers, out) = (&self.workers, &mut self.logits[mid]);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                backend.advance_batch_indexed(&items, states)
+                backend.advance_into(&items, states, workers, out)
             }));
             if let Some(o) = self.obs.as_deref_mut() {
                 o.spans
                     .end_with([("model", mid as f64), ("tokens", fed as f64)]);
             }
-            let results = match outcome {
-                Ok(Ok(results)) => results,
+            match outcome {
+                Ok(Ok(())) => {}
                 Ok(Err(_)) => {
                     faulted[mid] = Some(false);
                     continue;
@@ -1525,18 +1551,13 @@ impl<'m> ServeEngine<'m> {
                     faulted[mid] = Some(true);
                     continue;
                 }
-            };
-            sub_batches[mid] = idxs.len();
+            }
+            sub_batches[mid] = items.len();
             sub_processed[mid] = fed;
             self.processed_per_model[mid] += fed as u64;
-            // Worker shards this sub-batch ran on: the pool never uses
-            // more shards than sequences (mirrors the backend's
-            // contiguous shard plan); 1 on the sequential path.
-            step_shards += backend.pool_threads().min(idxs.len()) as u64;
-            for (&i, (slot, logits)) in idxs.iter().zip(results) {
-                debug_assert_eq!(self.active[i].slot, slot);
-                step_logits[i] = Some(logits);
-            }
+            // Worker shards this sub-batch ran on: the advance never
+            // uses more shards than sequences; 1 on a one-thread pool.
+            step_shards += self.workers.threads().min(items.len()) as u64;
             // A half-open backend whose canary advanced cleanly is
             // readmitted for full service.
             if self.health.on_clean_advance(mid) {
@@ -1547,6 +1568,7 @@ impl<'m> ServeEngine<'m> {
                 }
             }
         }
+        self.items = recycle_items(items);
         let worker_threads = self.worker_threads();
         if let Some(o) = self.obs.as_deref_mut() {
             o.pool_activity(worker_threads, step_shards);
@@ -1554,7 +1576,7 @@ impl<'m> ServeEngine<'m> {
 
         // 7b. Fault containment: quarantine each faulted backend (with
         //     deterministic exponential backoff) and retire its
-        //     residents as Failed — matching `step_logits` entries
+        //     residents as Failed — matching `logit_rows` entries
         //     removed in tandem so the sampling loop below stays
         //     index-aligned. Paused sequences of the domain keep their
         //     pre-fault (intact) saved states and resume once the
@@ -1598,7 +1620,7 @@ impl<'m> ServeEngine<'m> {
                     continue;
                 }
                 let mut seq = self.active.remove(i);
-                step_logits.remove(i);
+                self.logit_rows.remove(i);
                 self.pool.release(seq.slot);
                 self.total_failed += 1;
                 // A failed request's pending session restore is dropped
@@ -1630,8 +1652,8 @@ impl<'m> ServeEngine<'m> {
         //    the next sampled token.
         let mut prefill_tokens = 0usize;
         let mut decode_tokens = 0usize;
-        for (seq, logits) in self.active.iter_mut().zip(&step_logits) {
-            let logits = logits.as_ref().expect("every active sequence stepped");
+        for (seq, &row) in self.active.iter_mut().zip(&self.logit_rows) {
+            let logits = self.logits[seq.req.model].row(row);
             if seq.pos < seq.req.prompt.len() {
                 // Mirrors `feed` exactly (both derive from `feed_len`),
                 // including the clip at a pending harvest boundary.
@@ -2937,6 +2959,56 @@ mod tests {
         assert!(engine
             .submit(vec![GenRequest::greedy(0, vec![], 4)])
             .is_err());
+    }
+
+    #[test]
+    fn out_of_vocab_prompt_is_rejected_at_submit_without_a_fault() {
+        // A token past the vocabulary must never reach a backend: there
+        // it would fault the sub-batch, fail its batch-mates and
+        // quarantine the model.
+        let model = tiny_model();
+        let vocab = model.config().vocab_size as u32;
+        let mut engine = ServeEngine::new(
+            &model,
+            EngineConfig {
+                slots: 4,
+                max_steps: 10_000,
+                prefill_chunk: 4,
+                threads: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let good = [
+            GenRequest::greedy(0, vec![1, 2, 3, 4, 5, 6], 4),
+            GenRequest::greedy(2, vec![7, 8], 4),
+        ];
+        engine.submit(vec![good[0].clone()]).unwrap();
+        let err = engine
+            .submit(vec![GenRequest::greedy(1, vec![1, 2, vocab + 5], 4)])
+            .unwrap_err();
+        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err:?}");
+        // The session-resume path checks the prepended pending token.
+        let snapshot = SessionSnapshot {
+            state: PausedState::new(model.new_state()),
+            pending_token: vocab,
+            consumed_tokens: 0,
+        };
+        let err = engine
+            .submit_with_state(GenRequest::greedy(3, vec![1], 4), snapshot)
+            .unwrap_err();
+        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err:?}");
+        engine.submit(vec![good[1].clone()]).unwrap();
+
+        engine.run(&mut Fifo).unwrap();
+        let done = engine.completions();
+        assert_eq!(done.len(), 2, "only the valid requests ran");
+        for c in done {
+            let req = good.iter().find(|r| r.id == c.id).unwrap();
+            assert_eq!(c.finish, FinishReason::MaxTokens, "request {}", c.id);
+            assert_eq!(c.tokens, sequential_reference(&model, req));
+        }
+        assert_eq!(engine.backend_fault_count(), 0);
     }
 
     #[test]

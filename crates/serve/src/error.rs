@@ -53,14 +53,19 @@ impl std::error::Error for ServeError {
 
 impl From<ModelError> for ServeError {
     fn from(e: ModelError) -> Self {
-        ServeError::Model(e)
+        match e {
+            // Malformed input (an empty token slice) is a caller error
+            // at the serving layer, not a model fault.
+            ModelError::InvalidConfig(msg) => ServeError::InvalidConfig(msg),
+            other => ServeError::Model(other),
+        }
     }
 }
 
 impl From<QuantError> for ServeError {
     fn from(e: QuantError) -> Self {
         match e {
-            QuantError::Model(m) => ServeError::Model(m),
+            QuantError::Model(m) => m.into(),
             other => ServeError::InvalidConfig(format!("quantized backend: {other}")),
         }
     }

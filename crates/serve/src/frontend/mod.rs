@@ -184,7 +184,12 @@ pub fn run_frontend<R>(
         ));
     }
     let (intake_tx, intake_rx) = channel::<ClientMsg>();
-    let handle = FrontendHandle::new(intake_tx, engine.registry().len(), cfg.stream_capacity);
+    let vocab_sizes = engine
+        .registry()
+        .iter()
+        .map(|(_, _, backend)| backend.config().vocab_size)
+        .collect();
+    let handle = FrontendHandle::new(intake_tx, vocab_sizes, cfg.stream_capacity);
     engine.enable_events();
     if let Some(obs_cfg) = cfg.obs {
         engine.enable_obs(obs_cfg);
@@ -392,6 +397,40 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    #[test]
+    fn out_of_vocab_prompt_is_rejected_by_the_handle_and_serving_continues() {
+        // The handle must catch the bad token itself: an engine-side
+        // rejection would propagate out of the engine loop and end it.
+        let model = tiny_model();
+        let vocab = model.config().vocab_size as u32;
+        let (client, run) = run_frontend(
+            engine(&model, 2),
+            Box::new(Fifo),
+            FrontendConfig::default(),
+            |handle| {
+                let err = handle
+                    .submit(GenRequest::greedy(0, vec![1, vocab + 5], 4))
+                    .unwrap_err();
+                assert!(matches!(err, ServeError::InvalidConfig(_)), "{err:?}");
+                let mut stream = handle
+                    .submit(GenRequest::greedy(0, vec![1, 2, 3], 4))
+                    .unwrap();
+                let (mut tokens, mut done) = (0, false);
+                while let Some(ev) = stream.recv() {
+                    match ev {
+                        StreamEvent::Token { .. } => tokens += 1,
+                        StreamEvent::Done(_) => done = true,
+                        _ => {}
+                    }
+                }
+                (tokens, done)
+            },
+        )
+        .unwrap();
+        assert_eq!(client, (4, true), "the next request is served in full");
+        assert_eq!(run.report.completed, 1);
     }
 
     #[test]

@@ -106,25 +106,30 @@ pub(crate) enum ClientMsg {
 pub struct FrontendHandle {
     intake: Sender<ClientMsg>,
     next_id: Arc<AtomicU64>,
-    n_models: usize,
+    /// Vocabulary size of each registered model, indexed by model id.
+    vocab_sizes: Arc<[usize]>,
     stream_capacity: usize,
 }
 
 impl std::fmt::Debug for FrontendHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrontendHandle")
-            .field("n_models", &self.n_models)
+            .field("vocab_sizes", &self.vocab_sizes)
             .field("stream_capacity", &self.stream_capacity)
             .finish()
     }
 }
 
 impl FrontendHandle {
-    pub(crate) fn new(intake: Sender<ClientMsg>, n_models: usize, stream_capacity: usize) -> Self {
+    pub(crate) fn new(
+        intake: Sender<ClientMsg>,
+        vocab_sizes: Arc<[usize]>,
+        stream_capacity: usize,
+    ) -> Self {
         FrontendHandle {
             intake,
             next_id: Arc::new(AtomicU64::new(0)),
-            n_models,
+            vocab_sizes,
             stream_capacity,
         }
     }
@@ -137,21 +142,29 @@ impl FrontendHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] for an empty prompt (or a
-    /// frontend whose engine thread has already shut down) and
+    /// Returns [`ServeError::InvalidConfig`] for an empty prompt, a
+    /// prompt token outside the model's vocabulary (or a frontend whose
+    /// engine thread has already shut down) and
     /// [`ServeError::UnknownModel`] for an out-of-range model id —
     /// validated here so the engine thread never sees a rejectable
-    /// request.
+    /// request (an engine-side rejection would end the serving loop).
     pub fn submit(&self, mut req: GenRequest) -> Result<TokenStream, ServeError> {
         if req.prompt.is_empty() {
             return Err(ServeError::InvalidConfig(
                 "streamed request has an empty prompt".into(),
             ));
         }
-        if req.model >= self.n_models {
+        let Some(&vocab) = self.vocab_sizes.get(req.model) else {
             return Err(ServeError::UnknownModel(format!(
                 "streamed request names model id {} but only {} model(s) are registered",
-                req.model, self.n_models
+                req.model,
+                self.vocab_sizes.len()
+            )));
+        };
+        if let Some(&t) = req.prompt.iter().find(|&&t| t as usize >= vocab) {
+            return Err(ServeError::InvalidConfig(format!(
+                "streamed request has prompt token {t} outside model {}'s vocabulary of {vocab}",
+                req.model
             )));
         }
         req.id = self.next_id.fetch_add(1, Ordering::Relaxed);

@@ -6,9 +6,9 @@
 //! Fig. 9a). This crate builds the serving layer that insight makes
 //! cheap: every resident sequence costs one statically-sized slot
 //! ([`slots::SlotPool`]), so admission control is slot counting, and the
-//! batched step ([`lightmamba_model::MambaModel::forward_step_batch_indexed`])
-//! shares each layer's weights across all resident sequences — the
-//! software analogue of the accelerator's shared weight stream.
+//! batched advance ([`lightmamba_model::advance`]) shares each layer's
+//! weights across all resident sequences — the software analogue of the
+//! accelerator's shared weight stream.
 //!
 //! * [`request`] — generation requests (priority classes, deadlines)
 //!   and completion records;

@@ -88,7 +88,7 @@ struct Ids {
     quarantine_entered: CounterId,
     quarantine_recovered: CounterId,
     degradation_level: GaugeId,
-    pool_threads: GaugeId,
+    worker_threads: GaugeId,
     par_shards: CounterId,
     queue_depth: GaugeId,
     paused_depth: GaugeId,
@@ -210,7 +210,7 @@ impl EngineObs {
                 "engine_degradation_level",
                 "Current rung of the overload degradation ladder (0 = nominal).",
             ),
-            pool_threads: m.gauge(
+            worker_threads: m.gauge(
                 "engine_pool_threads",
                 "Worker threads executing batched model steps (1 = sequential).",
             ),
@@ -362,7 +362,7 @@ impl EngineObs {
     /// (hot path, allocation-free).
     #[inline]
     pub(crate) fn pool_activity(&mut self, threads: usize, shards: u64) {
-        self.metrics.set(self.ids.pool_threads, threads as f64);
+        self.metrics.set(self.ids.worker_threads, threads as f64);
         self.metrics.add(self.ids.par_shards, shards);
     }
 

@@ -103,17 +103,6 @@ impl<'m> ModelRegistry<'m> {
         Ok(self.entries.len() - 1)
     }
 
-    /// Hands every registered backend the engine's shared worker pool
-    /// ([`DecodeBackend::attach_pool`]); backends registered *after*
-    /// this call stay sequential. [`crate::engine::ServeEngine`] calls
-    /// it at construction when [`crate::engine::EngineConfig::threads`]
-    /// asks for more than one thread.
-    pub fn attach_pool(&mut self, pool: &std::sync::Arc<lightmamba_pool::WorkerPool>) {
-        for e in &mut self.entries {
-            e.backend.attach_pool(pool);
-        }
-    }
-
     /// Number of registered models.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -11,7 +11,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lightmamba_model::{MambaConfig, MambaModel};
+use lightmamba_model::{LogitsBuf, MambaConfig, MambaModel};
+use lightmamba_pool::WorkerPool;
 use lightmamba_serve::backend::{DecodeBackend, FpBackend};
 use lightmamba_serve::prefix::{hash_prefix, PrefixCache};
 use rand::rngs::StdRng;
@@ -53,7 +54,12 @@ fn prefix_cache_lookup_and_restore_allocate_nothing() {
     // in the cache. This side may allocate (it clones the state).
     let mut state = backend.new_state();
     backend
-        .prefill_batch(&[prefix.as_slice()], std::slice::from_mut(&mut state))
+        .advance_into(
+            &[(0, prefix.as_slice())],
+            std::slice::from_mut(&mut state),
+            &WorkerPool::new(1),
+            &mut LogitsBuf::new(),
+        )
         .unwrap();
     let mut cache = PrefixCache::new(4);
     cache.insert(0, &prefix, backend.save_state(&state));

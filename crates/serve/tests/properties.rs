@@ -10,7 +10,8 @@
 //! preemption churn, and session resume.
 
 use lightmamba_model::eval::StepModel;
-use lightmamba_model::{MambaConfig, MambaModel};
+use lightmamba_model::{advance, AdvanceWorkspace, LogitsBuf, MambaConfig, MambaModel};
+use lightmamba_pool::WorkerPool;
 use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
 use lightmamba_quant::QuantizedMamba;
 use lightmamba_serve::backend::{DecodeBackend, FpBackend, W4A4Backend};
@@ -196,20 +197,27 @@ proptest! {
             expected.push(toks);
         }
 
-        // Batched decode of all sequences together.
+        // Batched decode of all sequences together: one ragged prefill
+        // advance, then one advance per generated token.
+        let pool = WorkerPool::new(1);
+        let mut ws = AdvanceWorkspace::new();
+        let mut out = LogitsBuf::new();
         let mut states: Vec<_> = prompts.iter().map(|_| model.new_state()).collect();
-        let slices: Vec<&[u32]> = prompts.iter().map(|p| p.as_slice()).collect();
-        let mut logits = model.prefill_batch(&slices, &mut states).unwrap();
+        let items: Vec<(usize, &[u32])> =
+            prompts.iter().enumerate().map(|(k, p)| (k, p.as_slice())).collect();
+        advance(&model, &items, &mut states, &pool, &mut ws, &mut out).unwrap();
         let mut got: Vec<Vec<u32>> = vec![Vec::new(); prompts.len()];
         for _ in 0..gen_len {
-            let tokens: Vec<u32> = logits
-                .iter()
-                .map(|l| MambaModel::argmax(l) as u32)
-                .collect();
+            let tokens: Vec<u32> = out.iter().map(|l| MambaModel::argmax(l) as u32).collect();
             for (k, &t) in tokens.iter().enumerate() {
                 got[k].push(t);
             }
-            logits = model.forward_step_batch(&tokens, &mut states).unwrap();
+            let items: Vec<(usize, &[u32])> = tokens
+                .iter()
+                .enumerate()
+                .map(|(k, t)| (k, std::slice::from_ref(t)))
+                .collect();
+            advance(&model, &items, &mut states, &pool, &mut ws, &mut out).unwrap();
         }
 
         prop_assert_eq!(got, expected);
@@ -245,25 +253,24 @@ proptest! {
         }
 
         // Batched decode through the backend trait over external states.
+        let pool = WorkerPool::new(1);
+        let mut out = LogitsBuf::new();
         let mut states: Vec<_> = prompts.iter().map(|_| backend.new_state()).collect();
-        let slices: Vec<&[u32]> = prompts.iter().map(|p| p.as_slice()).collect();
-        let mut logits = backend.prefill_batch(&slices, &mut states).unwrap();
+        let items: Vec<(usize, &[u32])> =
+            prompts.iter().enumerate().map(|(k, p)| (k, p.as_slice())).collect();
+        backend.advance_into(&items, &mut states, &pool, &mut out).unwrap();
         let mut got: Vec<Vec<u32>> = vec![Vec::new(); prompts.len()];
         for _ in 0..gen_len {
-            let items: Vec<(usize, u32)> = logits
-                .iter()
-                .enumerate()
-                .map(|(k, l)| (k, MambaModel::argmax(l) as u32))
-                .collect();
-            for &(k, t) in &items {
+            let tokens: Vec<u32> = out.iter().map(|l| MambaModel::argmax(l) as u32).collect();
+            for (k, &t) in tokens.iter().enumerate() {
                 got[k].push(t);
             }
-            logits = backend
-                .forward_step_batch_indexed(&items, &mut states)
-                .unwrap()
-                .into_iter()
-                .map(|(_, l)| l)
+            let items: Vec<(usize, &[u32])> = tokens
+                .iter()
+                .enumerate()
+                .map(|(k, t)| (k, std::slice::from_ref(t)))
                 .collect();
+            backend.advance_into(&items, &mut states, &pool, &mut out).unwrap();
         }
 
         prop_assert_eq!(got, expected);
