@@ -3,19 +3,27 @@
 //!
 //! Mamba2 sequences share no cross-sequence state, so a batched step is
 //! semantically just N independent [`MambaModel::forward_step`] calls.
-//! [`advance`] reorders the loops — *layer outer, sequence inner* — so
-//! each block's weights are touched once per token position no matter
-//! how many sequences are resident. That is the software analogue of
-//! the accelerator's shared weight stream (`lightmamba_accel::batch`)
-//! and the hot path `lightmamba_serve`'s continuous batcher drives.
+//! [`advance`] reorders the work so each projection's weights are
+//! streamed once per token position however many sequences are
+//! resident — the software analogue of the accelerator's shared weight
+//! stream (`lightmamba_accel::batch`) and the hot path
+//! `lightmamba_serve`'s continuous batcher drives.
 //!
 //! One call advances a *ragged* batch: `items[k] = (state_index,
 //! tokens)` feeds one token (a decode step) or several (a prefill
 //! chunk) into `states[state_index]`, and row `k` of the caller's
-//! [`LogitsBuf`] receives the logits after that item's last token. The
-//! final norm and LM head run only at that position; earlier positions
-//! change no state and leave nothing behind, since each position
-//! re-embeds into the residual buffer.
+//! [`LogitsBuf`] receives the logits after that item's last token.
+//!
+//! # The active-row gather
+//!
+//! Each shard orders its items by token count, longest first, so at
+//! every token position the items that still have a token form a prefix
+//! of that order and their residual streams a contiguous `rows ×
+//! d_model` block. Per position the shard embeds those rows, gathers
+//! their layer states, and makes one [`StepKernels::block`] call per
+//! layer for all of them; the items whose last token this is sit at the
+//! end of the prefix and get one [`StepKernels::head`] call. A batch of
+//! one takes the same path with one row.
 //!
 //! The guarantees, identical for every execution path because each one
 //! only supplies [`StepKernels`]:
@@ -23,18 +31,20 @@
 //! * **No half-advanced state.** The whole batch — indices, duplicates,
 //!   state shapes, every token of every item, empty slices — is
 //!   validated before any state is touched.
-//! * **Bit-identical to sequential decode.** Per-sequence arithmetic is
-//!   exactly the single-stream order, so batched logits match
-//!   sequential ones bit for bit — for any batch composition, chunking
-//!   and thread count.
+//! * **Bit-identical to sequential decode.** The row kernels keep every
+//!   output's summation order, so each row's arithmetic is exactly the
+//!   single-stream order and batched logits match sequential ones bit
+//!   for bit — for any batch composition, chunking and thread count.
 //! * **One path for any thread count.** The batch is sharded into
 //!   contiguous ranges on the [`WorkerPool`]; a one-thread pool runs
 //!   one shard inline through the same code.
-//! * **Zero steady-state allocations.** Residual streams and kernel
-//!   scratch live in an [`AdvanceWorkspace`], logits in the caller's
-//!   [`LogitsBuf`]; both grow to the largest batch seen and are then
-//!   reused (pinned by counting-allocator tests).
+//! * **Zero steady-state allocations.** Residual streams, the row order,
+//!   the state gather and kernel scratch live in an
+//!   [`AdvanceWorkspace`], logits in the caller's [`LogitsBuf`]; both
+//!   grow to the largest batch seen and are then reused (pinned by
+//!   counting-allocator tests).
 
+use std::cmp::Reverse;
 use std::sync::{Mutex, PoisonError};
 
 use lightmamba_pool::WorkerPool;
@@ -45,9 +55,13 @@ use crate::ssm::SsmDims;
 use crate::state::{LayerState, ModelState};
 use crate::{MambaConfig, MambaModel, ModelError};
 
-/// The per-token kernels of one execution path — everything [`advance`]
-/// needs to move one sequence through one token. The FP model and the
-/// quantized model each implement it once.
+/// The row kernels of one execution path — everything [`advance`]
+/// needs to move a batch of sequences through one token position. The
+/// FP model and the quantized model each implement it once.
+///
+/// Row arguments are flat: `xs` holds `rows` residual streams of
+/// `d_model` back to back, `logits` `rows` rows of `vocab_size`. Each
+/// row's result must be bit-identical to running that row alone.
 pub trait StepKernels: Sync {
     /// Reusable kernel temporaries, one per shard.
     type Scratch: Default + Send;
@@ -65,8 +79,8 @@ pub trait StepKernels: Sync {
     /// Whatever the path's embedding lookup raises.
     fn embed(&self, token: u32, x: &mut [f32]) -> Result<(), Self::Error>;
 
-    /// Advances one sequence through block `layer`, updating the
-    /// residual stream `x` and the layer's recurrent state in place.
+    /// Advances every row through block `layer`: row `r` of `xs` is
+    /// updated in place together with its layer state `states[r]`.
     ///
     /// # Errors
     ///
@@ -74,20 +88,20 @@ pub trait StepKernels: Sync {
     fn block(
         &self,
         layer: usize,
-        x: &mut [f32],
-        state: &mut LayerState,
+        xs: &mut [f32],
+        states: &mut [&mut LayerState],
         scratch: &mut Self::Scratch,
     ) -> Result<(), Self::Error>;
 
-    /// Final norm and LM head: turns the residual stream `x` (which it
-    /// may overwrite) into `logits` (`vocab_size` long).
+    /// Final norm and LM head: turns each row of `xs` (which it may
+    /// overwrite) into the same row of `logits`.
     ///
     /// # Errors
     ///
     /// Whatever the path's head kernels raise.
     fn head(
         &self,
-        x: &mut [f32],
+        xs: &mut [f32],
         logits: &mut [f32],
         scratch: &mut Self::Scratch,
     ) -> Result<(), Self::Error>;
@@ -135,10 +149,10 @@ impl LogitsBuf {
 }
 
 /// Reusable buffers of [`advance`]: the validation bitmap plus, per
-/// shard, the residual streams and the path's kernel scratch. Grows to
-/// the largest batch and pool width seen, then steady-state advances
-/// allocate nothing.
-#[derive(Debug, Clone)]
+/// shard, the residual streams, row order, state gather, head staging
+/// and the path's kernel scratch. Grows to the largest batch and pool
+/// width seen, then steady-state advances allocate nothing.
+#[derive(Debug)]
 pub struct AdvanceWorkspace<S> {
     seen: Vec<bool>,
     shards: Vec<Shard<S>>,
@@ -153,6 +167,14 @@ impl<S> Default for AdvanceWorkspace<S> {
     }
 }
 
+/// A workspace holds only scratch, so a clone starts empty and warms up
+/// on its own first advance.
+impl<S> Clone for AdvanceWorkspace<S> {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
 impl<S> AdvanceWorkspace<S> {
     /// An empty workspace; it warms up on the first advance.
     pub fn new() -> Self {
@@ -160,11 +182,19 @@ impl<S> AdvanceWorkspace<S> {
     }
 }
 
-/// One shard's private buffers: its items' residual streams (flat,
-/// `d_model` per item) and the kernel scratch.
-#[derive(Debug, Clone, Default)]
+/// One shard's private buffers.
+#[derive(Debug, Default)]
 struct Shard<S> {
+    /// Residual streams in `order` (`d_model` per item).
     xs: Vec<f32>,
+    /// Item indices, longest token run first (ties in item order).
+    order: Vec<usize>,
+    /// Per-layer gather of the active rows' states; empty between
+    /// calls, only its capacity is kept.
+    states: Vec<&'static mut LayerState>,
+    /// Logits of the rows finishing at one position, in `order`; copied
+    /// out to their items' rows.
+    staged: Vec<f32>,
     scratch: S,
 }
 
@@ -172,8 +202,8 @@ struct Shard<S> {
 /// `tokens` into `states[state_index]` and writes the logits after the
 /// last of them into row `k` of `out`. States not named in `items` are
 /// untouched. The batch is split into `pool.threads().min(items.len())`
-/// contiguous shards, each running the layer-outer / sequence-inner
-/// sweep over its items on its own thread.
+/// contiguous shards, each running the position-major active-row sweep
+/// (module docs) over its items on its own thread.
 ///
 /// # Errors
 ///
@@ -239,8 +269,9 @@ pub fn advance<K: StepKernels>(
 }
 
 impl<S> Shard<S> {
-    /// The layer-outer / sequence-inner sweep over one shard's items,
-    /// one token position at a time.
+    /// The position-major sweep over one shard's items: per token
+    /// position, one embed per active row, one row-batched block call
+    /// per layer and one head call for the rows that finish there.
     ///
     /// # Safety
     ///
@@ -253,35 +284,101 @@ impl<S> Shard<S> {
         states: &StateShards<'_>,
         logits: &mut [f32],
     ) -> Result<(), K::Error> {
+        let Shard {
+            xs,
+            order,
+            states: spare,
+            staged,
+            scratch,
+        } = self;
         let cfg = kernels.config();
-        let d = cfg.d_model;
-        self.xs.resize(items.len() * d, 0.0);
-        let positions = items.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
+        let (d, vocab) = (cfg.d_model, cfg.vocab_size);
+        let len = |k: usize| items[k].1.len();
+        order.clear();
+        order.extend(0..items.len());
+        order.sort_unstable_by_key(|&k| (Reverse(len(k)), k));
+        xs.resize(items.len() * d, 0.0);
+        // Sized for every item at once, so it grows only with the shard.
+        staged.resize(items.len() * vocab, 0.0);
+        let mut gather = recycle(std::mem::take(spare));
+        let positions = order.first().map_or(0, |&k| len(k));
+        let mut active = items.len();
+        let mut result = Ok(());
         for pos in 0..positions {
-            for (&(_, tokens), x) in items.iter().zip(self.xs.chunks_exact_mut(d)) {
-                if let Some(&token) = tokens.get(pos) {
-                    kernels.embed(token, x)?;
-                }
+            active = order[..active].partition_point(|&k| len(k) > pos);
+            let rows = &order[..active];
+            let xs = &mut xs[..active * d];
+            // SAFETY: forwarded from this function's contract.
+            result = unsafe { layers(kernels, items, states, rows, pos, xs, &mut gather, scratch) };
+            if result.is_err() {
+                break;
             }
-            for layer in 0..cfg.n_layer {
-                for (&(slot, tokens), x) in items.iter().zip(self.xs.chunks_exact_mut(d)) {
-                    if pos < tokens.len() {
-                        // SAFETY: forwarded from this function's contract.
-                        let state = unsafe { states.state_mut(slot) };
-                        kernels.block(layer, x, &mut state.layers[layer], &mut self.scratch)?;
-                    }
-                }
+            // The rows whose last token this is close the active prefix.
+            let done = rows.partition_point(|&k| len(k) > pos + 1);
+            let finishing = &rows[done..];
+            if finishing.is_empty() {
+                continue;
             }
-            let rows = logits.chunks_exact_mut(cfg.vocab_size);
-            for ((&(_, tokens), x), row) in items.iter().zip(self.xs.chunks_exact_mut(d)).zip(rows)
-            {
-                if pos + 1 == tokens.len() {
-                    kernels.head(x, row, &mut self.scratch)?;
-                }
+            let staged = &mut staged[..finishing.len() * vocab];
+            result = kernels.head(&mut xs[done * d..], staged, scratch);
+            if result.is_err() {
+                break;
+            }
+            for (&k, row) in finishing.iter().zip(staged.chunks_exact(vocab)) {
+                logits[k * vocab..(k + 1) * vocab].copy_from_slice(row);
             }
         }
-        Ok(())
+        *spare = recycle(gather);
+        result
     }
+}
+
+/// Embeds the active rows' tokens at `pos` (row `j` is item `rows[j]`)
+/// and runs them through every layer, gathering the rows' layer states
+/// into `gather` for each block call.
+///
+/// # Safety
+///
+/// As [`Shard::run`].
+#[allow(clippy::too_many_arguments)]
+unsafe fn layers<'s, K: StepKernels>(
+    kernels: &K,
+    items: &[(usize, &[u32])],
+    states: &'s StateShards<'_>,
+    rows: &[usize],
+    pos: usize,
+    xs: &mut [f32],
+    gather: &mut Vec<&'s mut LayerState>,
+    scratch: &mut K::Scratch,
+) -> Result<(), K::Error> {
+    let cfg = kernels.config();
+    for (&k, x) in rows.iter().zip(xs.chunks_exact_mut(cfg.d_model)) {
+        kernels.embed(items[k].1[pos], x)?;
+    }
+    for layer in 0..cfg.n_layer {
+        gather.clear();
+        for &k in rows {
+            // SAFETY: forwarded from this function's contract; the
+            // previous layer's borrows of the same states were dropped
+            // by `clear`.
+            let state = unsafe { states.state_mut(items[k].0) };
+            gather.push(&mut state.layers[layer]);
+        }
+        kernels.block(layer, xs, gather, scratch)?;
+    }
+    gather.clear();
+    Ok(())
+}
+
+/// Empties `v` and hands back its allocation re-typed for another
+/// borrow lifetime: the in-place `collect` reuses the buffer because the
+/// element layout is unchanged, so the per-layer gather costs no
+/// allocation once it has grown.
+// `filter_map` changes the element lifetime, which `filter` cannot.
+#[allow(clippy::unnecessary_filter_map)]
+fn recycle<'b, T>(mut v: Vec<&mut T>) -> Vec<&'b mut T> {
+    v.clear();
+    v.into_iter().filter_map(|_| None).collect()
 }
 
 /// Checks the whole batch against `cfg` before anything runs: indices
@@ -357,22 +454,20 @@ impl StepKernels for MambaModel {
     fn block(
         &self,
         layer: usize,
-        x: &mut [f32],
-        state: &mut LayerState,
+        xs: &mut [f32],
+        states: &mut [&mut LayerState],
         scratch: &mut BlockScratch,
     ) -> Result<(), ModelError> {
-        self.blocks()[layer].forward_step_into(x, state, scratch)
+        self.blocks()[layer].forward_rows(xs, states, scratch)
     }
 
     fn head(
         &self,
-        x: &mut [f32],
+        xs: &mut [f32],
         logits: &mut [f32],
         _scratch: &mut BlockScratch,
     ) -> Result<(), ModelError> {
-        lightmamba_tensor::norm::rms_norm(x, self.final_norm_gamma(), 1e-5);
-        // Tied LM head: logits = E · x.
-        Ok(self.embedding().matvec_into(x, logits)?)
+        self.head_rows(xs, logits)
     }
 }
 
@@ -442,6 +537,25 @@ mod tests {
             let mut st = m.new_state();
             let single = m.prefill(p, &mut st).unwrap();
             assert_eq!(batched[k], single);
+        }
+    }
+
+    #[test]
+    fn chunk_amid_decodes_matches_sequential_bitwise() {
+        // The chunk sorts first, so at position 0 the finishing decode
+        // rows are items 0, 2 and 3: not adjacent in the output.
+        let m = tiny_model();
+        let items: [(usize, &[u32]); 4] = [(0, &[1]), (1, &[5, 6, 7, 8]), (2, &[3]), (3, &[9])];
+        let mut states: Vec<_> = (0..4).map(|_| m.new_state()).collect();
+        let batched = run(&m, &items, &mut states).unwrap();
+        for (k, &(slot, tokens)) in items.iter().enumerate() {
+            let mut solo = m.new_state();
+            assert_eq!(
+                batched[k],
+                m.prefill(tokens, &mut solo).unwrap(),
+                "item {k}"
+            );
+            assert_eq!(states[slot], solo, "state {slot}");
         }
     }
 

@@ -8,43 +8,44 @@ use crate::state::LayerState;
 use crate::weights::{BlockWeights, InProjSplit};
 use crate::{MambaConfig, Result};
 
-/// Reusable per-step temporaries for [`MambaBlock::forward_step_into`].
+/// Reusable temporaries of [`MambaBlock::forward_rows`].
 ///
 /// One scratch serves every block of a model (all blocks share shapes)
-/// and every sequence of a batch: buffers are resized on first use and
-/// reused thereafter, so steady-state decode performs no heap
-/// allocation. The default value is empty; it warms up on the first
-/// step.
+/// and every row batch: buffers are resized on use and keep their
+/// capacity, so once they have grown to the largest batch seen,
+/// decode performs no heap allocation. The default value is empty; it
+/// warms up on the first step.
 ///
 /// Buffers are public so other execution paths with the same block
 /// pipeline (the quantized model in `lightmamba_quant`) can drive their
 /// own kernels through one scratch instead of duplicating it.
 #[derive(Debug, Clone, Default)]
 pub struct BlockScratch {
-    /// Pre-norm copy of the residual stream (`d_model`).
+    /// Pre-norm copies of the residual streams (`rows × d_model`).
     pub normed: Vec<f32>,
-    /// Input-projection output `z | x | B | C | Δ` (`d_in_proj`).
+    /// Input-projection outputs `z | x | B | C | Δ` (`rows × d_in_proj`).
     pub proj: Vec<f32>,
-    /// Concatenated `(x, B, C)` conv input (`conv_dim`).
+    /// Concatenated `(x, B, C)` conv input of one row (`conv_dim`).
     pub conv_in: Vec<f32>,
-    /// Conv output, SiLU'd in place (`conv_dim`).
+    /// Conv output of one row, SiLU'd in place (`conv_dim`).
     pub conv_out: Vec<f32>,
-    /// SSM output / gated-norm buffer (`d_inner`).
+    /// SSM outputs / gated-norm buffers (`rows × d_inner`).
     pub y: Vec<f32>,
-    /// Output-projection result (`d_model`).
+    /// Output-projection results (`rows × d_model`).
     pub out: Vec<f32>,
 }
 
 impl BlockScratch {
-    /// Ensures every buffer matches `cfg`'s shapes (allocates only when
-    /// capacity grows, i.e. on the first step or a config change).
-    pub fn prepare(&mut self, cfg: &MambaConfig) {
-        self.normed.resize(cfg.d_model, 0.0);
-        self.proj.resize(cfg.d_in_proj(), 0.0);
+    /// Sizes every buffer for `rows` rows of `cfg`'s shapes (allocates
+    /// only when capacity grows: the first step, a larger batch, or a
+    /// config change).
+    pub fn prepare(&mut self, cfg: &MambaConfig, rows: usize) {
+        self.normed.resize(rows * cfg.d_model, 0.0);
+        self.proj.resize(rows * cfg.d_in_proj(), 0.0);
         self.conv_in.resize(cfg.conv_dim(), 0.0);
         self.conv_out.resize(cfg.conv_dim(), 0.0);
-        self.y.resize(cfg.d_inner(), 0.0);
-        self.out.resize(cfg.d_model, 0.0);
+        self.y.resize(rows * cfg.d_inner(), 0.0);
+        self.out.resize(rows * cfg.d_model, 0.0);
     }
 }
 
@@ -120,100 +121,139 @@ impl MambaBlock {
         self.forward_step_captured(x_resid, state, &mut BlockCapture::default())
     }
 
-    /// Allocation-free [`MambaBlock::forward_step`]: updates the residual
-    /// stream `x` in place using `scratch` for every temporary. The
-    /// capturing path runs this same pipeline (it is the same code), so
-    /// outputs are bit-for-bit identical — the batched advance
-    /// ([`crate::batch::advance`]) relies on this.
+    /// Advances a batch of sequences through the block: row `r` of
+    /// `xs` (`rows × d_model`, updated in place) is the residual stream
+    /// of the sequence whose layer state is `states[r]`. The input and
+    /// output projections stream their weights once for all rows; the
+    /// per-row middle (conv → SiLU → SSM → gated norm) and every row's arithmetic
+    /// are those of [`MambaBlock::forward_step`], so each row is
+    /// bit-identical to a solo step — the batched advance
+    /// ([`crate::batch::advance`]) relies on this. Allocation-free once
+    /// `scratch` has grown to the batch.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`MambaBlock::forward_step`].
-    pub fn forward_step_into(
+    /// [`crate::ModelError::StateMismatch`] when `xs` does not hold one
+    /// `d_model` row per state, plus the conditions of
+    /// [`MambaBlock::forward_step`].
+    pub fn forward_rows(
         &self,
-        x: &mut [f32],
-        state: &mut LayerState,
+        xs: &mut [f32],
+        states: &mut [&mut LayerState],
         scratch: &mut BlockScratch,
     ) -> Result<()> {
-        self.step_core(x, state, scratch, None)
+        self.rows_core(xs, states, scratch, None)
     }
 
-    /// The one block pipeline: pre-norm → in-proj → conv+SiLU → SSM →
-    /// gated norm → out-proj → residual add, with optional activation
-    /// taps (only the taps allocate, so the hot path stays
-    /// allocation-free when `capture` is `None`).
-    fn step_core(
+    /// The one block pipeline: pre-norm → in-proj → per-row middle →
+    /// out-proj → residual add, with optional activation taps (only the
+    /// taps allocate; the capturing path passes a single row).
+    fn rows_core(
         &self,
-        x: &mut [f32],
-        state: &mut LayerState,
+        xs: &mut [f32],
+        states: &mut [&mut LayerState],
         scratch: &mut BlockScratch,
         mut capture: Option<&mut BlockCapture>,
     ) -> Result<()> {
         let w = &self.weights;
-        scratch.prepare(&self.cfg);
+        let cfg = &self.cfg;
+        if xs.len() != states.len() * cfg.d_model {
+            return Err(crate::ModelError::StateMismatch(format!(
+                "{} residual values for {} rows of width {}",
+                xs.len(),
+                states.len(),
+                cfg.d_model
+            )));
+        }
+        scratch.prepare(cfg, states.len());
 
-        // Pre-norm on a copy of the residual stream.
-        scratch.normed.copy_from_slice(x);
-        norm::rms_norm(&mut scratch.normed, &w.norm_gamma, 1e-5);
+        // Pre-norm on a copy of the residual streams.
+        scratch.normed.copy_from_slice(xs);
+        for row in scratch.normed.chunks_exact_mut(cfg.d_model) {
+            norm::rms_norm(row, &w.norm_gamma, 1e-5);
+        }
         if let Some(cap) = capture.as_deref_mut() {
             cap.in_proj_input = Some(scratch.normed.clone());
         }
 
         // Input projection: z | x | B | C | Δ.
-        w.w_in.vecmat_into(&scratch.normed, &mut scratch.proj)?;
-        let s = &self.split;
+        w.w_in
+            .vecmat_rows_into(&scratch.normed, &mut scratch.proj)?;
 
-        // Causal conv over (x, B, C), then SiLU on the conv output.
-        let di = self.cfg.d_inner();
-        let g = self.cfg.ngroups * self.cfg.d_state;
-        scratch.conv_in[0..di].copy_from_slice(&scratch.proj[s.x.0..s.x.1]);
-        scratch.conv_in[di..di + g].copy_from_slice(&scratch.proj[s.b.0..s.b.1]);
-        scratch.conv_in[di + g..di + 2 * g].copy_from_slice(&scratch.proj[s.c.0..s.c.1]);
-        state.conv.step_into(
-            &scratch.conv_in,
-            &w.conv_weight,
-            &w.conv_bias,
-            &mut scratch.conv_out,
-        )?;
-        activation::silu_slice(&mut scratch.conv_out);
-
-        // SSM recurrence.
-        ssm_step_into(
-            self.dims,
-            &scratch.conv_out[0..di],
-            &scratch.conv_out[di..di + g],
-            &scratch.conv_out[di + g..di + 2 * g],
-            &scratch.proj[s.dt.0..s.dt.1],
-            &w.a_log,
-            &w.dt_bias,
-            &w.d_skip,
-            &mut state.h,
-            &mut scratch.y,
-        )?;
-        if let Some(cap) = capture.as_deref_mut() {
-            cap.ssm_output = Some(scratch.y.clone());
+        let rows = scratch
+            .proj
+            .chunks_exact(cfg.d_in_proj())
+            .zip(scratch.y.chunks_exact_mut(cfg.d_inner()))
+            .zip(states.iter_mut());
+        for ((proj, y), state) in rows {
+            self.mix(
+                proj,
+                state,
+                &mut scratch.conv_in,
+                &mut scratch.conv_out,
+                y,
+                capture.as_deref_mut(),
+            )?;
         }
-
-        // Gated RMSNorm, then output projection and the residual add.
-        norm::gated_rms_norm(
-            &mut scratch.y,
-            &scratch.proj[s.z.0..s.z.1],
-            &w.gate_norm_gamma,
-            1e-5,
-        );
         if let Some(cap) = capture {
             cap.out_proj_input = Some(scratch.y.clone());
         }
-        w.w_out.vecmat_into(&scratch.y, &mut scratch.out)?;
-        for (xi, &oi) in x.iter_mut().zip(scratch.out.iter()) {
+
+        // Output projection and the residual add.
+        w.w_out.vecmat_rows_into(&scratch.y, &mut scratch.out)?;
+        for (xi, &oi) in xs.iter_mut().zip(scratch.out.iter()) {
             *xi += oi;
         }
         Ok(())
     }
 
+    /// The per-row middle of the block: causal conv over `(x, B, C)`,
+    /// SiLU, the SSM recurrence and the gated norm, from one row's
+    /// projection `proj` into its `d_inner` output `y`. `conv_in` /
+    /// `conv_out` are `conv_dim` temporaries.
+    fn mix(
+        &self,
+        proj: &[f32],
+        state: &mut LayerState,
+        conv_in: &mut [f32],
+        conv_out: &mut [f32],
+        y: &mut [f32],
+        capture: Option<&mut BlockCapture>,
+    ) -> Result<()> {
+        let w = &self.weights;
+        let s = &self.split;
+        let di = self.cfg.d_inner();
+        let g = self.cfg.ngroups * self.cfg.d_state;
+        conv_in[0..di].copy_from_slice(&proj[s.x.0..s.x.1]);
+        conv_in[di..di + g].copy_from_slice(&proj[s.b.0..s.b.1]);
+        conv_in[di + g..di + 2 * g].copy_from_slice(&proj[s.c.0..s.c.1]);
+        state
+            .conv
+            .step_into(conv_in, &w.conv_weight, &w.conv_bias, conv_out)?;
+        activation::silu_slice(conv_out);
+
+        ssm_step_into(
+            self.dims,
+            &conv_out[0..di],
+            &conv_out[di..di + g],
+            &conv_out[di + g..di + 2 * g],
+            &proj[s.dt.0..s.dt.1],
+            &w.a_log,
+            &w.dt_bias,
+            &w.d_skip,
+            &mut state.h,
+            y,
+        )?;
+        if let Some(cap) = capture {
+            cap.ssm_output = Some(y.to_vec());
+        }
+        norm::gated_rms_norm(y, &proj[s.z.0..s.z.1], &w.gate_norm_gamma, 1e-5);
+        Ok(())
+    }
+
     /// [`MambaBlock::forward_step`] with activation taps recorded into
     /// `capture` (calibration / outlier-study path). Runs the same
-    /// single pipeline as [`MambaBlock::forward_step_into`], cloning the
+    /// single pipeline as [`MambaBlock::forward_rows`], cloning the
     /// three taps out of the scratch buffers.
     ///
     /// # Errors
@@ -226,7 +266,12 @@ impl MambaBlock {
         capture: &mut BlockCapture,
     ) -> Result<Vec<f32>> {
         let mut x = x_resid.to_vec();
-        self.step_core(&mut x, state, &mut BlockScratch::default(), Some(capture))?;
+        self.rows_core(
+            &mut x,
+            &mut [state],
+            &mut BlockScratch::default(),
+            Some(capture),
+        )?;
         Ok(x)
     }
 }

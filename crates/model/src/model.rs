@@ -173,9 +173,21 @@ impl MambaModel {
                 }
             }
         }
-        norm::rms_norm(&mut x, &self.final_norm_gamma, 1e-5);
+        let mut logits = vec![0.0; self.cfg.vocab_size];
+        self.head_rows(&mut x, &mut logits)?;
+        Ok(logits)
+    }
+
+    /// Final norm and tied LM head over a batch of rows: row `r` of `xs`
+    /// (`rows × d_model`, normalized in place) becomes row `r` of
+    /// `logits` (`rows × vocab_size`). The sequential step and the
+    /// batched advance both end here.
+    pub(crate) fn head_rows(&self, xs: &mut [f32], logits: &mut [f32]) -> Result<()> {
+        for x in xs.chunks_exact_mut(self.cfg.d_model) {
+            norm::rms_norm(x, &self.final_norm_gamma, 1e-5);
+        }
         // Tied LM head: logits = E · x.
-        Ok(self.embedding.matvec(&x)?)
+        Ok(self.embedding.matvec_rows_into(xs, logits)?)
     }
 
     /// Prefill: consumes a prompt token-by-token (the recurrence makes the

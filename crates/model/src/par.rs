@@ -2,21 +2,23 @@
 //!
 //! Mamba2 sequences share no cross-sequence state, so after the up-front
 //! batch validation (indices in bounds and *unique*, shapes checked) a
-//! batched advance decomposes into independent per-sequence sweeps.
+//! batched advance decomposes into independent per-sequence work.
 //! [`advance`](crate::batch::advance) splits the validated batch into
-//! contiguous ranges ([`shard_range`]) — one per pool thread — and runs
-//! each shard's weight-stationary sweep on its own thread with its own
-//! workspace.
+//! contiguous ranges (`shard_range`) — one per pool thread — and runs
+//! each shard's position-major sweep (one row-batched kernel call per
+//! layer and token position over the shard's active rows) on its own
+//! thread with its own workspace.
 //!
 //! # Determinism
 //!
-//! Per-sequence arithmetic is untouched: each shard runs exactly the
-//! layer-outer / sequence-inner loop over its slice. Sequences never
-//! interact, shard boundaries only split the *iteration* (never a
-//! sequence), and every sequence writes its own state and logits row.
-//! Logits and states are therefore **bit-identical for any thread
-//! count**, regardless of how the OS schedules the workers — pinned by
-//! the tests below and proptests in `lightmamba_serve`.
+//! Per-sequence arithmetic does not depend on the batch: the row
+//! kernels keep every output's summation order, so a row computes the
+//! same bits whether it shares a kernel call with other rows or runs
+//! alone. Shard boundaries only decide which rows share a call (never
+//! split a sequence), and every sequence writes its own state and
+//! logits row. Logits and states are therefore **bit-identical for any
+//! thread count**, regardless of how the OS schedules the workers —
+//! pinned by the tests below and proptests in `lightmamba_serve`.
 //!
 //! # Send/Sync boundaries
 //!

@@ -84,6 +84,14 @@ pub fn head_coeffs(dt_raw: f32, dt_bias: f32, a_log: f32) -> HeadCoeffs {
 ///
 /// `state` is the head's `(headdim × d_state)` slab, `x_head` its
 /// `headdim` inputs, `b`/`c` the group's `d_state` vectors.
+///
+/// The state update is element-wise, so it runs as one vectorizable
+/// sweep over the slab; `y[p] = Σ_n h[p,n]·C[n]` is then the slab's
+/// matrix–vector product with `C`, which
+/// [`lightmamba_tensor::ops::matvec_rows`] computes as several
+/// independent chains instead of one add-latency-bound chain. Each
+/// chain still sums its `d_state` terms in index order, so outputs and
+/// states are bit-identical to the fused one-channel-at-a-time loop.
 pub fn ssm_head_step(
     state: &mut [f32],
     y_head: &mut [f32],
@@ -96,15 +104,16 @@ pub fn ssm_head_step(
     let n = b.len();
     debug_assert_eq!(state.len(), x_head.len() * n);
     debug_assert_eq!(y_head.len(), x_head.len());
-    for (p, (&xv, yv)) in x_head.iter().zip(y_head.iter_mut()).enumerate() {
-        let row = &mut state[p * n..(p + 1) * n];
+    debug_assert_eq!(c.len(), n);
+    for (row, &xv) in state.chunks_exact_mut(n.max(1)).zip(x_head) {
         let dtx = coeffs.dt * xv;
-        let mut acc = 0.0f32;
-        for ((s, &bn), &cn) in row.iter_mut().zip(b.iter()).zip(c.iter()) {
+        for (s, &bn) in row.iter_mut().zip(b) {
             *s = coeffs.decay * *s + dtx * bn;
-            acc += *s * cn;
         }
-        *yv = acc + d_skip * xv;
+    }
+    lightmamba_tensor::ops::matvec_rows(state, n, c, y_head);
+    for (yv, &xv) in y_head.iter_mut().zip(x_head) {
+        *yv += d_skip * xv;
     }
 }
 

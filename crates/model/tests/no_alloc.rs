@@ -4,6 +4,10 @@
 //! global allocator wraps the system allocator; after a warm-up phase
 //! (workspace and logits buffers grow to the batch's shapes) the
 //! allocation counter must not move.
+//! Two schedules are pinned: items of one to three tokens, and a
+//! ragged mixed batch of one 4-token prefill chunk plus decode items
+//! (which exercises the per-position row gather and the staged head
+//! output).
 //!
 //! This file holds exactly one test so no parallel test can inject
 //! allocations into the measurement window.
@@ -11,7 +15,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lightmamba_model::{advance, AdvanceWorkspace, LogitsBuf, MambaConfig, MambaModel};
+use lightmamba_model::{
+    advance, AdvanceWorkspace, LogitsBuf, MambaConfig, MambaModel, ModelState, StepKernels,
+};
 use lightmamba_pool::WorkerPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,39 +63,64 @@ fn token_table(steps: usize, batch: usize, vocab: usize) -> Vec<Vec<Vec<u32>>> {
         .collect()
 }
 
-#[test]
-fn steady_state_batched_decode_allocates_nothing() {
-    let model = MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(3)).unwrap();
-    let batch = 3;
+/// A ragged mixed batch per step: item `t % batch` feeds a 4-token
+/// prefill chunk and every other item one decode token, so the
+/// chunk's position moves through the batch.
+fn mixed_table(steps: usize, batch: usize, vocab: usize) -> Vec<Vec<Vec<u32>>> {
+    (0..steps)
+        .map(|t| {
+            (0..batch)
+                .map(|k| {
+                    let len = if k == t % batch { 4 } else { 1 };
+                    (0..len)
+                        .map(|j| ((t * 13 + k * 7 + j) % vocab) as u32)
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Advances 3 fresh states through `table` on a 1-thread
+/// pool and returns the allocations made after the first 3 (warm-up)
+/// steps.
+fn allocs_after_warmup<K: StepKernels>(
+    kernels: &K,
+    new_state: impl Fn() -> ModelState,
+    table: &[Vec<Vec<u32>>],
+) -> usize {
     let pool = WorkerPool::new(1);
-    let mut states: Vec<_> = (0..batch).map(|_| model.new_state()).collect();
+    let mut states: Vec<_> = (0..3).map(|_| new_state()).collect();
     let mut ws = AdvanceWorkspace::new();
     let mut out = LogitsBuf::new();
-    let table = token_table(40, batch, 256);
     let schedule: Vec<Vec<(usize, &[u32])>> = table
         .iter()
         .map(|step| step.iter().enumerate().map(|(k, t)| (k, &t[..])).collect())
         .collect();
-
-    let mut step = |t: usize, states: &mut [_]| {
-        advance(&model, &schedule[t], states, &pool, &mut ws, &mut out).unwrap();
-        assert_eq!(out.rows(), batch);
-    };
-
-    // Warm-up: every workspace buffer grows to its final shape.
-    for t in 0..3 {
-        step(t, &mut states);
+    let mut before = 0;
+    for (t, items) in schedule.iter().enumerate() {
+        if t == 3 {
+            before = ALLOCS.load(Ordering::SeqCst);
+        }
+        if advance(kernels, items, &mut states, &pool, &mut ws, &mut out).is_err() {
+            panic!("advance failed at step {t}");
+        }
+        assert_eq!(out.rows(), 3);
     }
+    ALLOCS.load(Ordering::SeqCst) - before
+}
 
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for t in 3..40 {
-        step(t, &mut states);
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
+#[test]
+fn steady_state_batched_decode_allocates_nothing() {
+    let model = MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(3)).unwrap();
+    let ragged = allocs_after_warmup(&model, || model.new_state(), &token_table(40, 3, 256));
     assert_eq!(
-        after - before,
-        0,
-        "steady-state FP advance allocated {} times over 37 steps",
-        after - before
+        ragged, 0,
+        "steady-state FP advance allocated {ragged} times over 37 steps"
+    );
+    let mixed = allocs_after_warmup(&model, || model.new_state(), &mixed_table(40, 3, 256));
+    assert_eq!(
+        mixed, 0,
+        "steady-state FP chunk+decode advance allocated {mixed} times over 37 steps"
     );
 }

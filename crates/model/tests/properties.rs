@@ -1,13 +1,84 @@
 //! Property-based tests for the Mamba2 substrate.
 
-use lightmamba_model::ssm::{head_coeffs, ssm_step, SsmDims};
+use lightmamba_model::ssm::{head_coeffs, ssm_step, ssm_step_into, HeadCoeffs, SsmDims};
 use lightmamba_model::{MambaConfig, MambaModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The one-channel-at-a-time SSM head loop (state update and `h·C`
+/// fused in one serial chain per channel): the reference the blocked
+/// kernel must match bit for bit.
+fn serial_head_step(
+    state: &mut [f32],
+    y_head: &mut [f32],
+    x_head: &[f32],
+    b: &[f32],
+    c: &[f32],
+    coeffs: HeadCoeffs,
+    d_skip: f32,
+) {
+    let n = b.len();
+    for (p, (&xv, yv)) in x_head.iter().zip(y_head.iter_mut()).enumerate() {
+        let row = &mut state[p * n..(p + 1) * n];
+        let dtx = coeffs.dt * xv;
+        let mut acc = 0.0f32;
+        for ((s, &bn), &cn) in row.iter_mut().zip(b.iter()).zip(c.iter()) {
+            *s = coeffs.decay * *s + dtx * bn;
+            acc += *s * cn;
+        }
+        *yv = acc + d_skip * xv;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn blocked_ssm_step_matches_serial_loop_bitwise(
+        seed in 0u64..10_000,
+        // Head widths off the 4-channel block leave a tail.
+        headdim in 1usize..11,
+        d_state in 1usize..70,
+        heads_per_group in 1usize..3,
+        ngroups in 1usize..3,
+        steps in 1usize..4,
+    ) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dims = SsmDims { nheads: heads_per_group * ngroups, headdim, d_state, ngroups };
+        let mut vals = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-2.0f32..2.0)).collect() };
+        let a_log = vals(dims.nheads);
+        let dt_bias = vals(dims.nheads);
+        let d_skip = vals(dims.nheads);
+        let mut blocked = vals(dims.state_len());
+        let mut serial = blocked.clone();
+        for _ in 0..steps {
+            let x = vals(dims.inner_len());
+            let b = vals(dims.bc_len());
+            let c = vals(dims.bc_len());
+            let dt_raw = vals(dims.nheads);
+            let mut y = vec![f32::NAN; dims.inner_len()];
+            ssm_step_into(dims, &x, &b, &c, &dt_raw, &a_log, &dt_bias, &d_skip, &mut blocked, &mut y)
+                .unwrap();
+            let (p, n) = (headdim, d_state);
+            let mut y_ref = vec![f32::NAN; dims.inner_len()];
+            for h in 0..dims.nheads {
+                let g = h / heads_per_group;
+                serial_head_step(
+                    &mut serial[h * p * n..(h + 1) * p * n],
+                    &mut y_ref[h * p..(h + 1) * p],
+                    &x[h * p..(h + 1) * p],
+                    &b[g * n..(g + 1) * n],
+                    &c[g * n..(g + 1) * n],
+                    head_coeffs(dt_raw[h], dt_bias[h], a_log[h]),
+                    d_skip[h],
+                );
+            }
+            prop_assert_eq!(&y, &y_ref);
+            prop_assert_eq!(&blocked, &serial);
+        }
+    }
 
     #[test]
     fn decay_always_in_unit_interval(raw in -20.0f32..20.0, bias in -5.0f32..5.0, a_log in -3.0f32..3.0) {

@@ -4,11 +4,12 @@
 //! dequantizes to f32 at load and every step computes in f32, so the host
 //! never sees the paper's bandwidth win. This module is the execution
 //! half: weights live packed — **two signed nibbles per byte** plus one
-//! f32 scale per `(output row, input group)` block — and the GEMV/GEMM
-//! kernels compute `i8 activations × u4-packed weights → i32 accumulate →
+//! f32 scale per `(output row, input group)` block — and the GEMV
+//! kernel computes `i8 activations × u4-packed weights → i32 accumulate →
 //! one f32 rescale per group`. Per output element the weight stream is
-//! 0.5 bytes instead of the dequantized path's 4, which is what makes
-//! host decode of a bandwidth-bound Mamba step fast.
+//! 0.5 bytes instead of the dequantized path's 4, and one call applies
+//! each packed row to every activation row of a batch, which is what
+//! makes host decode of a bandwidth-bound Mamba step fast.
 //!
 //! # Agreement with the fake-quant reference
 //!
@@ -66,7 +67,7 @@ pub fn unpack_nibbles_into(packed: &[u8], n: usize, out: &mut [i8]) {
     }
 }
 
-/// A weight matrix in packed 4-bit form for integer GEMV/GEMM.
+/// A weight matrix in packed 4-bit form for the integer GEMV.
 ///
 /// Logical layout matches the FP path — `(in_features, out_features)`,
 /// activations multiply from the left. Quantization groups run along the
@@ -236,15 +237,16 @@ impl PackedW4 {
 }
 
 /// Reusable activation-quantization scratch: per-group symmetric i8
-/// codes plus one f32 scale per group. Buffers grow on first use and are
-/// reused, so quantizing an activation vector allocates nothing in
-/// steady state.
+/// codes plus one f32 scale per group, for one or more rows of equal
+/// width. Buffers grow on first use and are reused, so quantizing
+/// activations allocates nothing in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct ActQuant {
     codes: Vec<i8>,
     scales: Vec<f32>,
     group: usize,
     len: usize,
+    rows: usize,
     /// Largest code magnitude of the latest scheme (drives the i16
     /// fast-path overflow proof in [`gemv_packed`]).
     qmax: i32,
@@ -256,15 +258,28 @@ impl ActQuant {
         ActQuant::default()
     }
 
-    /// Quantizes `x` under a per-group scheme (2–8 bits), reusing the
-    /// internal buffers. Codes and scales match [`QuantizedTensor`] on
-    /// the same vector bit-for-bit (same absmax → scale → round-clamp).
+    /// Quantizes one vector `x` under a per-group scheme (2–8 bits),
+    /// reusing the internal buffers. Codes and scales match
+    /// [`QuantizedTensor`] on the same vector bit-for-bit (same absmax →
+    /// scale → round-clamp).
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::InvalidScheme`] for non-per-group schemes or
     /// invalid bit widths.
     pub fn quantize(&mut self, x: &[f32], scheme: QuantScheme) -> Result<()> {
+        self.quantize_rows(x, x.len(), scheme)
+    }
+
+    /// Quantizes `xs`, a whole number of rows of `width` values back to
+    /// back, each row exactly as [`ActQuant::quantize`] would — the
+    /// activation side of a row-batched [`gemv_packed`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ActQuant::quantize`], plus [`QuantError::InvalidScheme`]
+    /// when `xs` is not a whole number of rows.
+    pub fn quantize_rows(&mut self, xs: &[f32], width: usize, scheme: QuantScheme) -> Result<()> {
         scheme.validate()?;
         let group = match scheme.granularity {
             Granularity::PerGroup(g) => g,
@@ -274,41 +289,68 @@ impl ActQuant {
                 )))
             }
         };
+        let rows = xs.len().checked_div(width).unwrap_or(1);
+        if rows * width != xs.len() {
+            return Err(QuantError::InvalidScheme(format!(
+                "{} activations are not whole rows of {width}",
+                xs.len()
+            )));
+        }
         let qmax = scheme.qmax() as f32;
-        self.codes.resize(x.len(), 0);
+        self.codes.resize(xs.len(), 0);
         self.scales.clear();
-        for (chunk, codes) in x.chunks(group).zip(self.codes.chunks_mut(group)) {
-            let absmax = chunk.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-            let scale = scheme.scale_for(absmax);
-            for (c, &v) in codes.iter_mut().zip(chunk.iter()) {
-                *c = (v / scale).round().clamp(-qmax, qmax) as i8;
+        for (row, row_codes) in xs
+            .chunks(width.max(1))
+            .zip(self.codes.chunks_mut(width.max(1)))
+        {
+            for (chunk, codes) in row.chunks(group).zip(row_codes.chunks_mut(group)) {
+                let absmax = chunk.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                let scale = scheme.scale_for(absmax);
+                for (c, &v) in codes.iter_mut().zip(chunk.iter()) {
+                    *c = (v / scale).round().clamp(-qmax, qmax) as i8;
+                }
+                self.scales.push(scale);
             }
-            self.scales.push(scale);
         }
         self.group = group;
-        self.len = x.len();
+        self.len = width;
+        self.rows = rows;
         self.qmax = scheme.qmax();
         Ok(())
     }
 
-    /// The quantized codes of the latest [`ActQuant::quantize`] call.
+    /// The quantized codes of the latest call, row after row.
     pub fn codes(&self) -> &[i8] {
-        &self.codes[..self.len]
+        &self.codes[..self.rows * self.len]
     }
 
-    /// One scale per group of the latest call.
+    /// The scales of the latest call: one per group, row after row.
     pub fn scales(&self) -> &[f32] {
         &self.scales
     }
 
-    /// Length of the latest quantized vector.
+    /// Width of each row of the latest call.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Rows quantized by the latest call.
+    pub fn rows(&self) -> usize {
+        self.rows
     }
 
     /// Whether no vector has been quantized yet.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Codes and scales of row `r`.
+    fn row(&self, r: usize) -> (&[i8], &[f32]) {
+        let groups = self.scales.len() / self.rows.max(1);
+        (
+            &self.codes[r * self.len..(r + 1) * self.len],
+            &self.scales[r * groups..(r + 1) * groups],
+        )
     }
 }
 
@@ -326,27 +368,30 @@ fn check_gemv(w: &PackedW4, act: &ActQuant, out: &[f32]) -> Result<()> {
             act.group, w.group
         )));
     }
-    if out.len() != w.out_features {
+    if out.len() != act.rows() * w.out_features {
         return Err(QuantError::InvalidScheme(format!(
-            "output length {} does not match out_features {}",
+            "output length {} does not hold {} rows of out_features {}",
             out.len(),
+            act.rows(),
             w.out_features
         )));
     }
     Ok(())
 }
 
-/// Reusable integer accumulator planes for [`gemv_packed`] /
-/// [`gemm_packed`]: one "even outputs" and one "odd outputs" plane per
-/// activation, in i16 (the W4A4 fast path — twice the SIMD lanes, exact
-/// because a group's reduction is bounded by `group · qmaxₐ · qmax_w`)
-/// or i32 (the general path). Splitting by nibble parity keeps every hot
-/// loop stride-1 over contiguous buffers, which is what lets the
-/// compiler vectorize the unpack-multiply-accumulate.
+/// Reusable integer buffers for [`gemv_packed`]: one "even outputs"
+/// and one "odd outputs" accumulator plane per activation row, plus one
+/// unpacked weight row, in i16 (the W4A4 fast path — twice the SIMD
+/// lanes, exact because a group's reduction is bounded by
+/// `group · qmaxₐ · qmax_w`) or i32 (the general path). Splitting by
+/// nibble parity keeps every hot loop stride-1 over contiguous buffers,
+/// which is what lets the compiler vectorize them.
 #[derive(Debug, Clone, Default)]
 pub struct GemvScratch {
     acc16: Vec<i16>,
+    row16: Vec<i16>,
     acc32: Vec<i32>,
+    row32: Vec<i32>,
 }
 
 impl GemvScratch {
@@ -364,15 +409,24 @@ fn fits_i16(group: usize, act_qmax: i32) -> bool {
     (group as i64) * (act_qmax as i64) * 7 <= i16::MAX as i64
 }
 
-/// Integer GEMV: `out[o] = Σ_g (Σ_{i∈g} qw·qa) · sw[o,g]·sa[g]`, with the
-/// inner reduction exact in integers and one f32 rescale per `(output,
-/// group)` block — the arithmetic the DSP tree of the paper's MMU
-/// performs. The sweep is activation-outer like the f32 `vecmat` hot
-/// loop: zero activation codes skip their whole weight row (frequent at
-/// 4 bits), and each nonzero code streams 0.5 bytes per output into the
-/// accumulator planes of `scratch` (allocation-free once warm). For
+/// Integer GEMV over every row of `act`: `out[r][o] = Σ_g (Σ_{i∈g}
+/// qw·qa_r) · sw[o,g]·sa_r[g]`, with the inner reduction exact in
+/// integers and one f32 rescale per `(output, group)` block — the
+/// arithmetic the DSP tree of the paper's MMU performs. `out` holds one
+/// `out_features` row per activation row.
+///
+/// The sweep is weight-stationary and activation-outer like the f32
+/// `vecmat` hot loop: each packed input row is read once and applied to
+/// every activation row whose code there is nonzero (zero codes,
+/// frequent at 4 bits, skip the row), streaming 0.5 bytes per output
+/// into that row's accumulator planes in `scratch` (allocation-free
+/// once warm). With several activation rows, a packed row is unpacked
+/// once and then multiply-added per row; a single row takes the fused
+/// unpack-and-accumulate loop. For
 /// W4A4-shaped groups the planes are i16, doubling SIMD width; the
-/// reduction value is identical either way.
+/// reduction value is identical either way. Each output's f32 rescales
+/// run in group order, so row `r` is bit-identical to a one-row call on
+/// row `r` alone.
 ///
 /// The accumulate loops run on the instruction set reported by
 /// [`crate::simd::detect`] (AVX2/NEON under the `simd` feature, scalar
@@ -416,54 +470,113 @@ fn gemv_packed_lanes(
     lanes: Lanes,
 ) -> Result<()> {
     check_gemv(w, act, out)?;
-    let qa = act.codes();
     out.fill(0.0);
-    let half = w.bytes_per_row;
-    let narrow = fits_i16(w.group, act.qmax);
-    if narrow {
-        scratch.acc16.resize(2 * half, 0);
-    } else {
-        scratch.acc32.resize(2 * half, 0);
+    if w.out_features == 0 || act.rows() == 0 {
+        return Ok(());
     }
-    for (g, &asc) in act.scales().iter().enumerate() {
+    if fits_i16(w.group, act.qmax) {
+        sweep(w, act, &mut scratch.acc16, &mut scratch.row16, out, lanes);
+    } else {
+        sweep(w, act, &mut scratch.acc32, &mut scratch.row32, out, lanes);
+    }
+    Ok(())
+}
+
+/// An integer accumulator lane of [`gemv_packed`] (i16 or i32).
+trait Plane:
+    Copy + Default + From<i8> + Into<i32> + std::ops::Mul<Output = Self> + std::ops::AddAssign
+{
+    /// The packed row accumulate on `lanes` (see [`crate::simd`]).
+    fn accumulate_row(lanes: Lanes, row: &[u8], q: i8, even: &mut [Self], odd: &mut [Self]);
+}
+
+impl Plane for i16 {
+    fn accumulate_row(lanes: Lanes, row: &[u8], q: i8, even: &mut [i16], odd: &mut [i16]) {
+        accumulate_row_i16(lanes, row, q.into(), even, odd);
+    }
+}
+
+impl Plane for i32 {
+    fn accumulate_row(lanes: Lanes, row: &[u8], q: i8, even: &mut [i32], odd: &mut [i32]) {
+        accumulate_row_i32(lanes, row, q.into(), even, odd);
+    }
+}
+
+/// The body of [`gemv_packed`] on accumulator lanes `T`: `acc` holds
+/// one `[even | odd]` plane pair per activation row, `unpacked` one
+/// sign-extended weight row in the same layout.
+fn sweep<T: Plane>(
+    w: &PackedW4,
+    act: &ActQuant,
+    acc: &mut Vec<T>,
+    unpacked: &mut Vec<T>,
+    out: &mut [f32],
+    lanes: Lanes,
+) {
+    let half = w.bytes_per_row;
+    let planes = 2 * half;
+    acc.resize(act.rows() * planes, T::default());
+    unpacked.resize(planes, T::default());
+    // Unpacking once pays off only when several rows share the row and
+    // the accumulate loop would otherwise unpack it again per row.
+    let unpack_once = act.rows() > 1;
+    let codes = act.codes();
+    for g in 0..w.groups_per_row {
         let start = g * w.group;
         let end = (start + w.group).min(w.in_features);
-        let mut any = false;
-        if narrow {
-            scratch.acc16.fill(0);
-        } else {
-            scratch.acc32.fill(0);
-        }
-        for (i, &q) in qa.iter().enumerate().take(end).skip(start) {
-            if q == 0 {
-                continue;
-            }
-            any = true;
+        acc.fill(T::default());
+        for i in start..end {
             let row = &w.packed[i * half..(i + 1) * half];
-            if narrow {
-                let (even, odd) = scratch.acc16.split_at_mut(half);
-                accumulate_row_i16(lanes, row, q as i16, even, odd);
-            } else {
-                let (even, odd) = scratch.acc32.split_at_mut(half);
-                accumulate_row_i32(lanes, row, q as i32, even, odd);
+            let mut fresh = false;
+            // Code `i` of every row: one stride of `in_features` apart.
+            let qs = codes[i..].iter().step_by(w.in_features);
+            for (acc_r, &q) in acc.chunks_exact_mut(planes).zip(qs) {
+                if q == 0 {
+                    continue;
+                }
+                if !unpack_once {
+                    let (even, odd) = acc_r.split_at_mut(half);
+                    T::accumulate_row(lanes, row, q, even, odd);
+                    continue;
+                }
+                if !fresh {
+                    unpack_row(row, unpacked);
+                    fresh = true;
+                }
+                let q = T::from(q);
+                for (a, &wv) in acc_r.iter_mut().zip(unpacked.iter()) {
+                    *a += q * wv;
+                }
             }
-        }
-        if !any {
-            continue;
         }
         // One rescale per (output, group) block; with PoT scales every
         // operation here is exact (see module docs).
         let srow = &w.scales_t[g * w.out_features..(g + 1) * w.out_features];
-        for (o, (out_v, &wsc)) in out.iter_mut().zip(srow).enumerate() {
-            let ia = if narrow {
-                scratch.acc16[(o & 1) * half + (o >> 1)] as i32
-            } else {
-                scratch.acc32[(o & 1) * half + (o >> 1)]
-            };
-            *out_v += ia as f32 * (wsc * asc);
+        let rows = acc
+            .chunks_exact(planes)
+            .zip(out.chunks_exact_mut(w.out_features));
+        for (r, (acc_r, out_r)) in rows.enumerate() {
+            let (codes, scales) = act.row(r);
+            if codes[start..end].iter().all(|&q| q == 0) {
+                continue;
+            }
+            let asc = scales[g];
+            for (o, (out_v, &wsc)) in out_r.iter_mut().zip(srow).enumerate() {
+                let ia: i32 = acc_r[(o & 1) * half + (o >> 1)].into();
+                *out_v += ia as f32 * (wsc * asc);
+            }
         }
     }
-    Ok(())
+}
+
+/// Sign-extends both nibbles of every byte of `row` into `out`: low
+/// nibbles (even outputs) first, then high nibbles (odd outputs).
+fn unpack_row<T: Plane>(row: &[u8], out: &mut [T]) {
+    let (even, odd) = out.split_at_mut(row.len());
+    for ((&b, e), o) in row.iter().zip(even).zip(odd) {
+        *e = T::from(((b & 0x0F) ^ 8) as i8 - 8);
+        *o = T::from(((b >> 4) ^ 8) as i8 - 8);
+    }
 }
 
 /// The fake-quant reference oracle for [`gemv_packed`]: dequantize both
@@ -477,112 +590,23 @@ fn gemv_packed_lanes(
 /// Same conditions as [`gemv_packed`].
 pub fn gemv_reference(w: &PackedW4, act: &ActQuant, out: &mut [f32]) -> Result<()> {
     check_gemv(w, act, out)?;
-    let qa = act.codes();
     let mut row = vec![0i8; w.in_features];
-    for (o, out_v) in out.iter_mut().enumerate() {
+    for o in 0..w.out_features {
         w.unpack_row_into(o, &mut row);
         let row_scales = &w.scales[o * w.groups_per_row..(o + 1) * w.groups_per_row];
-        let mut acc = 0.0f32;
-        for (g, (&wsc, &asc)) in row_scales.iter().zip(act.scales()).enumerate() {
-            let start = g * w.group;
-            let end = (start + w.group).min(w.in_features);
-            let mut fsum = 0.0f32;
-            for i in start..end {
-                fsum += (row[i] as f32 * wsc) * (qa[i] as f32 * asc);
-            }
-            acc += fsum;
-        }
-        *out_v = acc;
-    }
-    Ok(())
-}
-
-/// Integer GEMM over a shared packed weight: the batched form of
-/// [`gemv_packed`], weight-stationary — each packed byte row is streamed
-/// **once per group sweep** and reused (L1-hot) across every activation
-/// in the batch, which is the software analogue of the accelerator's
-/// shared weight stream. `scratch` holds one pair of i32 accumulator
-/// planes per activation; `outs[k]` is resized to `out_features`
-/// (allocation-free once warm).
-///
-/// Per activation the integer reduction is identical to
-/// [`gemv_packed`]'s, so results are value-identical. As there, the
-/// accumulate loops run on the detected instruction set and are
-/// bit-identical to [`gemm_packed_scalar`].
-///
-/// # Errors
-///
-/// Returns [`QuantError::InvalidScheme`] on any shape or group mismatch,
-/// including `acts.len() != outs.len()`.
-pub fn gemm_packed(
-    w: &PackedW4,
-    acts: &[ActQuant],
-    scratch: &mut GemvScratch,
-    outs: &mut [Vec<f32>],
-) -> Result<()> {
-    gemm_packed_lanes(w, acts, scratch, outs, crate::simd::detect())
-}
-
-/// [`gemm_packed`] forced onto the scalar accumulate loops — the oracle
-/// the SIMD dispatch is proptested bit-identical against.
-///
-/// # Errors
-///
-/// Same conditions as [`gemm_packed`].
-pub fn gemm_packed_scalar(
-    w: &PackedW4,
-    acts: &[ActQuant],
-    scratch: &mut GemvScratch,
-    outs: &mut [Vec<f32>],
-) -> Result<()> {
-    gemm_packed_lanes(w, acts, scratch, outs, Lanes::Scalar)
-}
-
-fn gemm_packed_lanes(
-    w: &PackedW4,
-    acts: &[ActQuant],
-    scratch: &mut GemvScratch,
-    outs: &mut [Vec<f32>],
-    lanes: Lanes,
-) -> Result<()> {
-    if acts.len() != outs.len() {
-        return Err(QuantError::InvalidScheme(format!(
-            "{} activations for {} outputs",
-            acts.len(),
-            outs.len()
-        )));
-    }
-    for (act, out) in acts.iter().zip(outs.iter_mut()) {
-        out.resize(w.out_features, 0.0);
-        check_gemv(w, act, out)?;
-        out.fill(0.0);
-    }
-    let half = w.bytes_per_row;
-    let planes = 2 * half;
-    scratch.acc32.resize(acts.len() * planes, 0);
-    for g in 0..w.groups_per_row {
-        let start = g * w.group;
-        let end = (start + w.group).min(w.in_features);
-        scratch.acc32.fill(0);
-        for i in start..end {
-            let row = &w.packed[i * half..(i + 1) * half];
-            for (k, act) in acts.iter().enumerate() {
-                let q = act.codes()[i] as i32;
-                if q == 0 {
-                    continue;
+        for r in 0..act.rows() {
+            let (qa, act_scales) = act.row(r);
+            let mut acc = 0.0f32;
+            for (g, (&wsc, &asc)) in row_scales.iter().zip(act_scales).enumerate() {
+                let start = g * w.group;
+                let end = (start + w.group).min(w.in_features);
+                let mut fsum = 0.0f32;
+                for i in start..end {
+                    fsum += (row[i] as f32 * wsc) * (qa[i] as f32 * asc);
                 }
-                let (even, odd) = scratch.acc32[k * planes..(k + 1) * planes].split_at_mut(half);
-                accumulate_row_i32(lanes, row, q, even, odd);
+                acc += fsum;
             }
-        }
-        let srow = &w.scales_t[g * w.out_features..(g + 1) * w.out_features];
-        for (k, (act, out)) in acts.iter().zip(outs.iter_mut()).enumerate() {
-            let asc = act.scales()[g];
-            let planes_k = &scratch.acc32[k * planes..(k + 1) * planes];
-            for (o, (out_v, &wsc)) in out.iter_mut().zip(srow).enumerate() {
-                let ia = planes_k[(o & 1) * half + (o >> 1)];
-                *out_v += ia as f32 * (wsc * asc);
-            }
+            out[r * w.out_features + o] = acc;
         }
     }
     Ok(())
@@ -690,22 +714,34 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let w = random_weight(&mut rng, 48, 32);
         let p = PackedW4::quantize(&w, w4(16)).unwrap();
-        let mut acts = Vec::new();
-        for _ in 0..3 {
-            let x: Vec<f32> = (0..48).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let xs: Vec<f32> = (0..3 * 48).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let scheme = QuantScheme::act_per_group(4, 16);
+        let mut acts = ActQuant::new();
+        acts.quantize_rows(&xs, 48, scheme).unwrap();
+        assert_eq!(acts.rows(), 3);
+        let mut outs = vec![0.0f32; 3 * 32];
+        gemv_packed(&p, &acts, &mut GemvScratch::new(), &mut outs).unwrap();
+        for (x, out) in xs.chunks(48).zip(outs.chunks(32)) {
             let mut a = ActQuant::new();
-            a.quantize(&x, QuantScheme::act_per_group(4, 16)).unwrap();
-            acts.push(a);
-        }
-        let mut outs = vec![Vec::new(), Vec::new(), Vec::new()];
-        let mut iacc = GemvScratch::new();
-        gemm_packed(&p, &acts, &mut iacc, &mut outs).unwrap();
-        for (a, out) in acts.iter().zip(&outs) {
+            a.quantize(x, scheme).unwrap();
             let mut single = vec![0.0f32; 32];
-            let mut siacc = GemvScratch::new();
-            gemv_packed(&p, a, &mut siacc, &mut single).unwrap();
-            assert_eq!(out, &single);
+            gemv_packed(&p, &a, &mut GemvScratch::new(), &mut single).unwrap();
+            assert_eq!(out, &single[..]);
         }
+    }
+
+    #[test]
+    fn zero_rows_is_an_empty_product() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let w = random_weight(&mut rng, 32, 16);
+        let p = PackedW4::quantize(&w, w4(8)).unwrap();
+        let mut acts = ActQuant::new();
+        acts.quantize_rows(&[], 32, QuantScheme::act_per_group(4, 8))
+            .unwrap();
+        assert_eq!(acts.rows(), 0);
+        let mut out: [f32; 0] = [];
+        gemv_packed(&p, &acts, &mut GemvScratch::new(), &mut out).unwrap();
+        gemv_packed_scalar(&p, &acts, &mut GemvScratch::new(), &mut out).unwrap();
     }
 
     #[test]

@@ -396,187 +396,203 @@ impl QuantizedMamba {
         self.exec == ExecMode::Integer
     }
 
-    /// Advances one block given the residual-stream input `x` and that
-    /// block's recurrent state, with every temporary in `scratch`. This
-    /// is the shared per-sequence core of the sequential and batched
-    /// paths, so the two are bit-identical by construction *per
-    /// sequence* (their loop orders differ: sequential is block-outer,
-    /// batched is layer-outer/sequence-inner).
-    fn block_step_with(
+    /// Advances a batch of rows through one block: row `r` of `xs`
+    /// (`rows × d_model`, updated in place) is the residual stream of
+    /// the sequence whose layer state is `states[r]`, with every
+    /// temporary in `scratch`. The sequential and batched paths both
+    /// run this (the sequential one with a single row) and the row
+    /// kernels keep each output's summation order, so the two are
+    /// bit-identical per sequence.
+    fn block_rows(
         &self,
         block: &QBlock,
-        x: &mut [f32],
-        lstate: &mut LayerState,
+        xs: &mut [f32],
+        states: &mut [&mut LayerState],
         scratch: &mut QuantScratch,
     ) -> Result<()> {
-        let act = self.precision.act;
+        let d = self.cfg.d_model;
+        if xs.len() != states.len() * d {
+            return Err(ModelError::StateMismatch(format!(
+                "{} residual values for {} rows of width {d}",
+                xs.len(),
+                states.len()
+            ))
+            .into());
+        }
+        let QuantScratch {
+            block: buf,
+            act,
+            iacc,
+        } = scratch;
+        buf.prepare(&self.cfg, states.len());
+
+        // Pre-norm + method-specific activation conditioning.
+        buf.normed.copy_from_slice(xs);
+        for row in buf.normed.chunks_exact_mut(d) {
+            norm::rms_norm(row, &block.norm_gamma, 1e-5);
+            condition(row, &block.in_act_shift, &block.in_act_scale);
+        }
+
+        // Input projection, then the per-row middle.
+        let (w_in, w_in_packed) = (&block.w_in, block.w_in_packed.as_ref());
+        self.project(
+            w_in,
+            w_in_packed,
+            &mut buf.normed,
+            d,
+            &mut buf.proj,
+            act,
+            iacc,
+        )?;
+        let rows = buf
+            .proj
+            .chunks_exact_mut(self.cfg.d_in_proj())
+            .zip(buf.y.chunks_exact_mut(self.cfg.d_inner()))
+            .zip(states.iter_mut());
+        for ((proj, y), state) in rows {
+            if let Some(bias) = &block.w_in_bias {
+                for (p, b) in proj.iter_mut().zip(bias.iter()) {
+                    *p += b;
+                }
+            }
+            self.mix(block, proj, state, &mut buf.conv_in, &mut buf.conv_out, y)?;
+        }
+
+        // Output projection, then the residual add.
+        let (w_out, w_out_packed) = (&block.w_out, block.w_out_packed.as_ref());
+        let di = self.cfg.d_inner();
+        self.project(w_out, w_out_packed, &mut buf.y, di, &mut buf.out, act, iacc)?;
+        for (x, out) in xs.chunks_exact_mut(d).zip(buf.out.chunks_exact_mut(d)) {
+            if let Some(bias) = &block.w_out_bias {
+                for (o, b) in out.iter_mut().zip(bias.iter()) {
+                    *o += b;
+                }
+            }
+            for (xi, oi) in x.iter_mut().zip(out.iter()) {
+                *xi += oi;
+            }
+        }
+        Ok(())
+    }
+
+    /// The per-row middle of a quantized block, from one row's
+    /// projection `proj` to its out-projection input `y`: causal conv
+    /// over `(x, B, C)`, SiLU, the (optionally PoT-quantized) SSM, the
+    /// gated norm, the online rotation and the method's conditioning.
+    /// `conv_in` / `conv_out` are `conv_dim` temporaries.
+    fn mix(
+        &self,
+        block: &QBlock,
+        proj: &[f32],
+        lstate: &mut LayerState,
+        conv_in: &mut [f32],
+        conv_out: &mut [f32],
+        y: &mut [f32],
+    ) -> Result<()> {
         let ssm_scheme = self.precision.ssm;
         let di = self.cfg.d_inner();
         let g = self.cfg.ngroups * self.cfg.d_state;
-        scratch.block.prepare(&self.cfg);
-
-        // Pre-norm + method-specific activation conditioning.
-        scratch.block.normed.copy_from_slice(x);
-        norm::rms_norm(&mut scratch.block.normed, &block.norm_gamma, 1e-5);
-        if let Some(shift) = &block.in_act_shift {
-            for (v, s) in scratch.block.normed.iter_mut().zip(shift.iter()) {
-                *v -= s;
-            }
-        }
-        if let Some(scale) = &block.in_act_scale {
-            for (v, s) in scratch.block.normed.iter_mut().zip(scale.iter()) {
-                *v /= s;
-            }
-        }
-
-        // Input projection: integer GEMV over packed nibbles on the hot
-        // path, fake-quant + f32 GEMV on the oracle path.
-        match (&block.w_in_packed, self.integer()) {
-            (Some(packed), true) => {
-                let scheme = act.expect("packable precision has an act scheme");
-                scratch.act.quantize(&scratch.block.normed, scheme)?;
-                gemv_packed(
-                    packed,
-                    &scratch.act,
-                    &mut scratch.iacc,
-                    &mut scratch.block.proj,
-                )?;
-            }
-            _ => {
-                if let Some(s) = act {
-                    fake_quant_slice(&mut scratch.block.normed, s)?;
-                }
-                block
-                    .w_in
-                    .vecmat_into(&scratch.block.normed, &mut scratch.block.proj)?;
-            }
-        }
-        if let Some(bias) = &block.w_in_bias {
-            for (p, b) in scratch.block.proj.iter_mut().zip(bias.iter()) {
-                *p += b;
-            }
-        }
         let s = &self.split;
 
         // Causal conv over (x, B, C), then SiLU on the conv output.
-        scratch.block.conv_in[0..di].copy_from_slice(&scratch.block.proj[s.x.0..s.x.1]);
-        scratch.block.conv_in[di..di + g].copy_from_slice(&scratch.block.proj[s.b.0..s.b.1]);
-        scratch.block.conv_in[di + g..di + 2 * g]
-            .copy_from_slice(&scratch.block.proj[s.c.0..s.c.1]);
-        lstate.conv.step_into(
-            &scratch.block.conv_in,
-            &block.conv_weight,
-            &block.conv_bias,
-            &mut scratch.block.conv_out,
-        )?;
-        activation::silu_slice(&mut scratch.block.conv_out);
+        conv_in[0..di].copy_from_slice(&proj[s.x.0..s.x.1]);
+        conv_in[di..di + g].copy_from_slice(&proj[s.b.0..s.b.1]);
+        conv_in[di + g..di + 2 * g].copy_from_slice(&proj[s.c.0..s.c.1]);
+        lstate
+            .conv
+            .step_into(conv_in, &block.conv_weight, &block.conv_bias, conv_out)?;
+        activation::silu_slice(conv_out);
 
         // SSM quantization (LightMamba*): quantize the element-wise
         // chain's operands and re-quantize state and output, modelling
         // the INT8 per-group PoT dataflow of the SSMU (identical in both
         // execution modes — the SSM never runs on the MMU).
         if let Some(sq) = ssm_scheme {
-            fake_quant_slice(&mut scratch.block.conv_out[0..di], sq)?;
-            fake_quant_slice(&mut scratch.block.conv_out[di..di + g], sq)?;
-            fake_quant_slice(&mut scratch.block.conv_out[di + g..di + 2 * g], sq)?;
+            fake_quant_slice(&mut conv_out[0..di], sq)?;
+            fake_quant_slice(&mut conv_out[di..di + g], sq)?;
+            fake_quant_slice(&mut conv_out[di + g..di + 2 * g], sq)?;
         }
         ssm_step_into(
             self.dims,
-            &scratch.block.conv_out[0..di],
-            &scratch.block.conv_out[di..di + g],
-            &scratch.block.conv_out[di + g..di + 2 * g],
-            &scratch.block.proj[s.dt.0..s.dt.1],
+            &conv_out[0..di],
+            &conv_out[di..di + g],
+            &conv_out[di + g..di + 2 * g],
+            &proj[s.dt.0..s.dt.1],
             &block.a_log,
             &block.dt_bias,
             &block.d_skip,
             &mut lstate.h,
-            &mut scratch.block.y,
+            y,
         )?;
         if let Some(sq) = ssm_scheme {
             fake_quant_slice(&mut lstate.h, sq)?;
-            fake_quant_slice(&mut scratch.block.y, sq)?;
+            fake_quant_slice(y, sq)?;
         }
 
         // Gated norm (scale kept unfused per Fig. 4b), online rotation,
-        // method-specific conditioning, activation quantization.
-        norm::gated_rms_norm(
-            &mut scratch.block.y,
-            &scratch.block.proj[s.z.0..s.z.1],
-            &block.gate_norm_gamma,
-            1e-5,
-        );
+        // method-specific conditioning.
+        norm::gated_rms_norm(y, &proj[s.z.0..s.z.1], &block.gate_norm_gamma, 1e-5);
         if let Some(h) = &block.online_hadamard {
-            h.apply(&mut scratch.block.y);
+            h.apply(y);
         }
-        if let Some(shift) = &block.out_act_shift {
-            for (v, s) in scratch.block.y.iter_mut().zip(shift.iter()) {
-                *v -= s;
-            }
-        }
-        if let Some(scale) = &block.out_act_scale {
-            for (v, s) in scratch.block.y.iter_mut().zip(scale.iter()) {
-                *v /= s;
-            }
-        }
-
-        // Output projection, then the residual add.
-        match (&block.w_out_packed, self.integer()) {
-            (Some(packed), true) => {
-                let scheme = act.expect("packable precision has an act scheme");
-                scratch.act.quantize(&scratch.block.y, scheme)?;
-                gemv_packed(
-                    packed,
-                    &scratch.act,
-                    &mut scratch.iacc,
-                    &mut scratch.block.out,
-                )?;
-            }
-            _ => {
-                if let Some(s) = act {
-                    fake_quant_slice(&mut scratch.block.y, s)?;
-                }
-                block
-                    .w_out
-                    .vecmat_into(&scratch.block.y, &mut scratch.block.out)?;
-            }
-        }
-        if let Some(bias) = &block.w_out_bias {
-            for (o, b) in scratch.block.out.iter_mut().zip(bias.iter()) {
-                *o += b;
-            }
-        }
-        for (xi, oi) in x.iter_mut().zip(scratch.block.out.iter()) {
-            *xi += oi;
-        }
+        condition(y, &block.out_act_shift, &block.out_act_scale);
         Ok(())
     }
 
-    /// Final norm + optional activation quantization + LM head, writing
-    /// into a `vocab_size`-long logits row.
-    fn logits_into(
+    /// One linear layer over `rows` rows of `width` inputs in `xs` into
+    /// `out`: integer GEMV over packed nibbles on the hot path (weights
+    /// streamed once for all rows), fake-quant + f32 row `vecmat` on the
+    /// oracle path (which quantizes `xs` in place).
+    #[allow(clippy::too_many_arguments)]
+    fn project(
         &self,
-        x: &mut [f32],
+        dense: &Tensor,
+        packed: Option<&PackedW4>,
+        xs: &mut [f32],
+        width: usize,
+        out: &mut [f32],
+        act: &mut ActQuant,
+        iacc: &mut GemvScratch,
+    ) -> Result<()> {
+        match (packed, self.precision.act) {
+            (Some(packed), Some(scheme)) if self.integer() => {
+                act.quantize_rows(xs, width, scheme)?;
+                gemv_packed(packed, act, iacc, out)
+            }
+            (_, scheme) => {
+                if let Some(s) = scheme {
+                    for row in xs.chunks_exact_mut(width) {
+                        fake_quant_slice(row, s)?;
+                    }
+                }
+                Ok(dense.vecmat_rows_into(xs, out)?)
+            }
+        }
+    }
+
+    /// Final norm + optional activation quantization + LM head, turning
+    /// each `d_model` row of `xs` into a `vocab_size` row of `logits`.
+    fn head_rows(
+        &self,
+        xs: &mut [f32],
         logits: &mut [f32],
         scratch: &mut QuantScratch,
     ) -> Result<()> {
-        norm::rms_norm(x, &self.weights.final_norm_gamma, 1e-5);
-        match (&self.weights.lm_head_packed, self.integer()) {
-            (Some(packed), true) => {
-                let scheme = self
-                    .precision
-                    .act
-                    .expect("packable precision has an act scheme");
-                scratch.act.quantize(x, scheme)?;
-                gemv_packed(packed, &scratch.act, &mut scratch.iacc, logits)?;
-            }
-            _ => {
-                if let Some(s) = self.precision.act {
-                    fake_quant_slice(x, s)?;
-                }
-                self.weights.lm_head.vecmat_into(x, logits)?;
-            }
+        let d = self.cfg.d_model;
+        for x in xs.chunks_exact_mut(d) {
+            norm::rms_norm(x, &self.weights.final_norm_gamma, 1e-5);
         }
-        Ok(())
+        let w = &self.weights;
+        let QuantScratch { act, iacc, .. } = scratch;
+        self.project(
+            &w.lm_head,
+            w.lm_head_packed.as_ref(),
+            xs,
+            d,
+            logits,
+            act,
+            iacc,
+        )
     }
 
     /// One decode step against an external state (the internal
@@ -607,10 +623,10 @@ impl QuantizedMamba {
         let mut scratch = QuantScratch::default();
         let mut x = self.weights.embedding.row(token as usize)?.to_vec();
         for (block, lstate) in self.weights.blocks.iter().zip(&mut state.layers) {
-            self.block_step_with(block, &mut x, lstate, &mut scratch)?;
+            self.block_rows(block, &mut x, &mut [lstate], &mut scratch)?;
         }
         let mut logits = vec![0.0; self.cfg.vocab_size];
-        self.logits_into(&mut x, &mut logits, &mut scratch)?;
+        self.head_rows(&mut x, &mut logits, &mut scratch)?;
         Ok(logits)
     }
 
@@ -625,9 +641,10 @@ impl QuantizedMamba {
     }
 }
 
-/// The quantized kernels behind batched [`lightmamba_model::advance`]:
-/// the same per-sequence block and head as the sequential
-/// [`StepModel`] decode, so the two are bit-identical per sequence.
+/// The quantized row kernels behind batched
+/// [`lightmamba_model::advance`]: the same block and head as the
+/// sequential [`StepModel`] decode, so the two are bit-identical per
+/// sequence.
 impl StepKernels for QuantizedMamba {
     type Scratch = QuantScratch;
     type Error = crate::QuantError;
@@ -644,15 +661,30 @@ impl StepKernels for QuantizedMamba {
     fn block(
         &self,
         layer: usize,
-        x: &mut [f32],
-        state: &mut LayerState,
+        xs: &mut [f32],
+        states: &mut [&mut LayerState],
         scratch: &mut QuantScratch,
     ) -> Result<()> {
-        self.block_step_with(&self.weights.blocks[layer], x, state, scratch)
+        self.block_rows(&self.weights.blocks[layer], xs, states, scratch)
     }
 
-    fn head(&self, x: &mut [f32], logits: &mut [f32], scratch: &mut QuantScratch) -> Result<()> {
-        self.logits_into(x, logits, scratch)
+    fn head(&self, xs: &mut [f32], logits: &mut [f32], scratch: &mut QuantScratch) -> Result<()> {
+        self.head_rows(xs, logits, scratch)
+    }
+}
+
+/// Applies a method's activation conditioning to one row: subtract the
+/// channel shift, then divide by the channel scale.
+fn condition(row: &mut [f32], shift: &Option<Vec<f32>>, scale: &Option<Vec<f32>>) {
+    if let Some(shift) = shift {
+        for (v, s) in row.iter_mut().zip(shift.iter()) {
+            *v -= s;
+        }
+    }
+    if let Some(scale) = scale {
+        for (v, s) in row.iter_mut().zip(scale.iter()) {
+            *v /= s;
+        }
     }
 }
 

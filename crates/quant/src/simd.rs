@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD variants of the packed W4A4 accumulate loops.
 //!
-//! The hot work of [`crate::kernels::gemv_packed`] / `gemm_packed` is the
-//! nibble unpack–multiply–accumulate over one packed byte row per nonzero
+//! The hot work of [`crate::kernels::gemv_packed`] is the nibble
+//! unpack–multiply–accumulate over one packed byte row per nonzero
 //! activation code. This module holds that inner loop in three forms:
 //!
 //! * **scalar** — the portable form, always compiled. This is the

@@ -1,13 +1,13 @@
 //! Property tests for the packed integer W4A4 kernels: lossless nibble
 //! packing, agreement between the integer GEMV and the fake-quant
-//! reference oracle (bit-exact under PoT scales), GEMM ≡ GEMV, and
-//! full-model integer-vs-oracle decode agreement.
+//! reference oracle (bit-exact under PoT scales), row-batched GEMV ≡
+//! per-row GEMV, and full-model integer-vs-oracle decode agreement.
 
 use lightmamba_model::MambaConfig;
 use lightmamba_model::MambaModel;
 use lightmamba_quant::kernels::{
-    gemm_packed, gemm_packed_scalar, gemv_packed, gemv_packed_scalar, gemv_reference, pack_nibbles,
-    unpack_nibbles_into, ActQuant, GemvScratch, PackedW4,
+    gemv_packed, gemv_packed_scalar, gemv_reference, pack_nibbles, unpack_nibbles_into, ActQuant,
+    GemvScratch, PackedW4,
 };
 use lightmamba_quant::qmodel::{ExecMode, Precision};
 use lightmamba_quant::{Granularity, PreparedModel, QuantScheme, QuantizedMamba};
@@ -40,6 +40,53 @@ fn random_problem(
     let mut act = ActQuant::new();
     act.quantize(&x, per_group(abits, group, pot)).unwrap();
     (p, act)
+}
+
+/// A packed 4-bit weight plus `batch` activation rows quantized
+/// together; returns the rows' f32 values too. With `sparse`, about
+/// three in four activations are exactly zero.
+#[allow(clippy::too_many_arguments)]
+fn random_rows(
+    seed: u64,
+    inf: usize,
+    outf: usize,
+    group: usize,
+    batch: usize,
+    abits: u8,
+    pot: bool,
+    sparse: bool,
+) -> (PackedW4, ActQuant, Vec<f32>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let w = Tensor::from_fn(&[inf, outf], |_| rng.gen_range(-0.8f32..0.8));
+    let p = PackedW4::quantize(&w, per_group(4, group, pot)).unwrap();
+    let xs: Vec<f32> = (0..batch * inf)
+        .map(|_| {
+            let v = rng.gen_range(-2.0f32..2.0);
+            if sparse && rng.gen_range(0u8..4) != 0 {
+                0.0
+            } else {
+                v
+            }
+        })
+        .collect();
+    let mut acts = ActQuant::new();
+    acts.quantize_rows(&xs, inf, per_group(abits, group, pot))
+        .unwrap();
+    (p, acts, xs)
+}
+
+/// One single-row [`gemv_packed`] per `inf`-wide row of `xs`,
+/// concatenated.
+fn per_row(p: &PackedW4, xs: &[f32], inf: usize, scheme: QuantScheme) -> Vec<f32> {
+    let mut out = Vec::new();
+    for x in xs.chunks(inf) {
+        let mut act = ActQuant::new();
+        act.quantize(x, scheme).unwrap();
+        let mut row = vec![0.0f32; p.out_features()];
+        gemv_packed(p, &act, &mut GemvScratch::new(), &mut row).unwrap();
+        out.extend(row);
+    }
+    out
 }
 
 /// Every possible byte holds two nibbles that survive a pack round trip
@@ -145,52 +192,39 @@ proptest! {
         batch in 1usize..5,
         pot in any::<bool>(),
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let w = Tensor::from_fn(&[inf, outf], |_| rng.gen_range(-0.8f32..0.8));
-        let p = PackedW4::quantize(&w, per_group(4, group, pot)).unwrap();
-        let mut acts = Vec::new();
-        for _ in 0..batch {
-            let x: Vec<f32> = (0..inf).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-            let mut a = ActQuant::new();
-            a.quantize(&x, per_group(4, group, pot)).unwrap();
-            acts.push(a);
-        }
-        let mut dispatched: Vec<Vec<f32>> = vec![Vec::new(); batch];
-        let mut scalar: Vec<Vec<f32>> = vec![Vec::new(); batch];
-        let mut s1 = GemvScratch::new();
-        let mut s2 = GemvScratch::new();
-        gemm_packed(&p, &acts, &mut s1, &mut dispatched).unwrap();
-        gemm_packed_scalar(&p, &acts, &mut s2, &mut scalar).unwrap();
+        let (p, acts, _) = random_rows(seed, inf, outf, group, batch, 4, pot, false);
+        let mut dispatched = vec![0.0f32; batch * outf];
+        let mut scalar = vec![0.0f32; batch * outf];
+        gemv_packed(&p, &acts, &mut GemvScratch::new(), &mut dispatched).unwrap();
+        gemv_packed_scalar(&p, &acts, &mut GemvScratch::new(), &mut scalar).unwrap();
         prop_assert_eq!(dispatched, scalar);
     }
 
     #[test]
     fn gemm_is_value_identical_to_gemv(
         seed in 0u64..10_000,
-        inf in 1usize..64,
-        outf in 1usize..48,
-        group in 1usize..32,
-        batch in 1usize..5,
+        inf in 1usize..96,
+        outf in 1usize..64,
+        group in 1usize..64,
+        batch in 1usize..9,
+        eight_bit in any::<bool>(),
+        pot in any::<bool>(),
+        sparse in any::<bool>(),
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let w = Tensor::from_fn(&[inf, outf], |_| rng.gen_range(-0.8f32..0.8));
-        let p = PackedW4::quantize(&w, per_group(4, group, false)).unwrap();
-        let mut acts = Vec::new();
-        for _ in 0..batch {
-            let x: Vec<f32> = (0..inf).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-            let mut a = ActQuant::new();
-            a.quantize(&x, per_group(4, group, false)).unwrap();
-            acts.push(a);
-        }
-        let mut outs: Vec<Vec<f32>> = vec![Vec::new(); batch];
+        // 8-bit activations with groups above 36 overflow the i16 proof,
+        // so the range covers both accumulator widths; `sparse` zeroes
+        // most activations so whole rows and groups skip.
+        let abits = if eight_bit { 8 } else { 4 };
+        let (p, acts, xs) = random_rows(seed, inf, outf, group, batch, abits, pot, sparse);
+        let expect = per_row(&p, &xs, inf, per_group(abits, group, pot));
         let mut scratch = GemvScratch::new();
-        gemm_packed(&p, &acts, &mut scratch, &mut outs).unwrap();
-        for (a, out) in acts.iter().zip(&outs) {
-            let mut single = vec![0.0f32; outf];
-            let mut s2 = GemvScratch::new();
-            gemv_packed(&p, a, &mut s2, &mut single).unwrap();
-            prop_assert_eq!(out.clone(), single);
-        }
+        let mut dispatched = vec![0.0f32; batch * outf];
+        gemv_packed(&p, &acts, &mut scratch, &mut dispatched).unwrap();
+        prop_assert_eq!(&dispatched, &expect);
+        // The same scratch again, on the pinned-scalar loops.
+        let mut scalar = vec![0.0f32; batch * outf];
+        gemv_packed_scalar(&p, &acts, &mut scratch, &mut scalar).unwrap();
+        prop_assert_eq!(&scalar, &expect);
     }
 
     #[test]

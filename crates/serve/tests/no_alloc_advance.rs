@@ -2,8 +2,9 @@
 //! [`DecodeBackend::advance_into`] on both shipped backends performs
 //! **zero heap allocations**, on one- and four-thread pools, with
 //! chunked-prefill items (several tokens each) riding next to decode
-//! items (one token). Logits land in the caller's reused buffer, so no
-//! per-position vector or logits clone is made.
+//! items (one token), including a ragged mixed batch of one 4-token
+//! prefill chunk plus decode items. Logits land in the caller's reused
+//! buffer, so no per-position vector or logits clone is made.
 //!
 //! This file holds exactly one test so no parallel test can inject
 //! allocations into the measurement window.
@@ -43,14 +44,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-fn drive(backend: &dyn DecodeBackend, threads: usize) {
-    let batch = 5;
-    let steps = 30;
-    let pool = WorkerPool::new(threads);
-    let mut out = LogitsBuf::new();
-    let mut states: Vec<_> = (0..batch).map(|_| backend.new_state()).collect();
-    // Item `k` of step `t` feeds a chunk of one to four tokens.
-    let table: Vec<Vec<Vec<u32>>> = (0..steps)
+/// Item `k` of step `t` feeds a chunk of one to four tokens.
+fn chunk_table(steps: usize, batch: usize) -> Vec<Vec<Vec<u32>>> {
+    (0..steps)
         .map(|t| {
             (0..batch)
                 .map(|k| {
@@ -60,7 +56,31 @@ fn drive(backend: &dyn DecodeBackend, threads: usize) {
                 })
                 .collect()
         })
-        .collect();
+        .collect()
+}
+
+/// Item `t % batch` of step `t` feeds a 4-token prefill chunk, every
+/// other item one decode token.
+fn mixed_table(steps: usize, batch: usize) -> Vec<Vec<Vec<u32>>> {
+    (0..steps)
+        .map(|t| {
+            (0..batch)
+                .map(|k| {
+                    let len = if k == t % batch { 4 } else { 1 };
+                    (0..len)
+                        .map(|j| ((t * 11 + k * 5 + j) % 256) as u32)
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn drive(backend: &dyn DecodeBackend, threads: usize, table: &[Vec<Vec<u32>>], label: &str) {
+    let batch = table[0].len();
+    let pool = WorkerPool::new(threads);
+    let mut out = LogitsBuf::new();
+    let mut states: Vec<_> = (0..batch).map(|_| backend.new_state()).collect();
     let schedule: Vec<Vec<(usize, &[u32])>> = table
         .iter()
         .map(|step| step.iter().enumerate().map(|(k, t)| (k, &t[..])).collect())
@@ -82,10 +102,10 @@ fn drive(backend: &dyn DecodeBackend, threads: usize) {
     assert_eq!(
         after - before,
         0,
-        "steady-state {} advance_into on {threads} thread(s) allocated {} times over {} steps",
+        "steady-state {} {label} advance_into on {threads} thread(s) allocated {} times over {} steps",
         backend.name(),
         after - before,
-        steps - 3
+        schedule.len() - 3
     );
 }
 
@@ -95,8 +115,11 @@ fn steady_state_backend_advance_allocates_nothing() {
     let q = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap();
     let fp = FpBackend::new(&model);
     let w4 = W4A4Backend::new(q);
+    let (chunks, mixed) = (chunk_table(30, 5), mixed_table(30, 5));
     for threads in [1, 4] {
-        drive(&fp, threads);
-        drive(&w4, threads);
+        for backend in [&fp as &dyn DecodeBackend, &w4] {
+            drive(backend, threads, &chunks, "chunked");
+            drive(backend, threads, &mixed, "chunk+decode");
+        }
     }
 }

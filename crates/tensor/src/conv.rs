@@ -123,17 +123,21 @@ impl ConvState {
                 right: vec![wc, wk],
             });
         }
-        let w = weight.data();
-        for c in 0..self.channels {
-            let win = &mut self.window[c * self.kernel..(c + 1) * self.kernel];
-            win.rotate_left(1);
-            win[self.kernel - 1] = input[c];
-            let taps = &w[c * self.kernel..(c + 1) * self.kernel];
-            let mut acc = bias[c];
+        let k = self.kernel;
+        let channels = self
+            .window
+            .chunks_exact_mut(k)
+            .zip(weight.data().chunks_exact(k))
+            .zip(input.iter().zip(bias))
+            .zip(out.iter_mut());
+        for (((win, taps), (&x, &b)), o) in channels {
+            win.copy_within(1.., 0);
+            win[k - 1] = x;
+            let mut acc = b;
             for (t, x) in taps.iter().zip(win.iter()) {
                 acc += t * x;
             }
-            out[c] = acc;
+            *o = acc;
         }
         Ok(())
     }

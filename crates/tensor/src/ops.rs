@@ -93,15 +93,28 @@ impl Tensor {
                 right: vec![out.len()],
             });
         }
-        let a = self.data();
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &a[i * k..(i + 1) * k];
-            let mut acc = 0.0f32;
-            for (&w, &v) in row.iter().zip(x.iter()) {
-                acc += w * v;
-            }
-            *o = acc;
-        }
+        matvec_rows(self.data(), k, x, out);
+        Ok(())
+    }
+
+    /// Row-batched [`Tensor::matvec_into`]: `xs` holds `rows` vectors of
+    /// `k` elements back to back and `out` receives `rows` results of
+    /// `m` elements. Each weight block is loaded once and applied to
+    /// every row while it is cache-hot — the weight-stationary form of
+    /// the tied LM head. Every output is still one serial `k`-term sum
+    /// in index order, so row `r` is bit-identical to
+    /// `matvec_into(&xs[r*k..], ..)`.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::RankMismatch`] when `self` is not a matrix,
+    /// [`TensorError::MatmulDimMismatch`] when `xs` is not a whole
+    /// number of `k`-rows, and [`TensorError::ShapeMismatch`] when `out`
+    /// does not hold the same number of `m`-rows.
+    pub fn matvec_rows_into(&self, xs: &[f32], out: &mut [f32]) -> Result<()> {
+        let (m, k) = self.as_matrix_dims()?;
+        check_rows(xs.len(), k, out.len(), m)?;
+        matvec_rows(self.data(), k, xs, out);
         Ok(())
     }
 
@@ -144,17 +157,28 @@ impl Tensor {
                 right: vec![out.len()],
             });
         }
-        let a = self.data();
-        out.fill(0.0);
-        for (p, &xv) in x.iter().enumerate() {
-            if xv == 0.0 {
-                continue;
-            }
-            let row = &a[p * n..(p + 1) * n];
-            for (o, &w) in out.iter_mut().zip(row.iter()) {
-                *o += xv * w;
-            }
-        }
+        vecmat_rows(self.data(), k, n, x, out);
+        Ok(())
+    }
+
+    /// Row-batched [`Tensor::vecmat_into`]: `xs` holds `rows` vectors of
+    /// `k` elements back to back and `out` receives `rows` results of
+    /// `n` elements. The weight is streamed once, a column tile at a
+    /// time, and each tile row is applied to every input row while it
+    /// is cache-hot. Every output still accumulates its `k` terms in
+    /// index order, skipping zero activations, so row `r` is
+    /// bit-identical to `vecmat_into(&xs[r*k..], ..)`.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::RankMismatch`] when `self` is not a matrix,
+    /// [`TensorError::MatmulDimMismatch`] when `xs` is not a whole
+    /// number of `k`-rows, and [`TensorError::ShapeMismatch`] when `out`
+    /// does not hold the same number of `n`-rows.
+    pub fn vecmat_rows_into(&self, xs: &[f32], out: &mut [f32]) -> Result<()> {
+        let (k, n) = self.as_matrix_dims()?;
+        check_rows(xs.len(), k, out.len(), n)?;
+        vecmat_rows(self.data(), k, n, xs, out);
         Ok(())
     }
 
@@ -211,6 +235,207 @@ impl Tensor {
     /// Frobenius (L2) norm over all elements.
     pub fn frobenius_norm(&self) -> f32 {
         self.data().iter().map(|v| v * v).sum::<f32>().sqrt()
+    }
+}
+
+/// Checks that `xs_len` and `out_len` hold the same whole number of
+/// rows of `k` inputs and `n` outputs respectively.
+fn check_rows(xs_len: usize, k: usize, out_len: usize, n: usize) -> Result<()> {
+    let rows = match (k, n) {
+        (0, 0) => 0,
+        (0, n) => out_len / n,
+        (k, _) => xs_len / k,
+    };
+    if xs_len != rows * k {
+        return Err(TensorError::MatmulDimMismatch {
+            left_cols: k,
+            right_rows: xs_len,
+        });
+    }
+    if out_len != rows * n {
+        return Err(TensorError::ShapeMismatch {
+            left: vec![rows, n],
+            right: vec![out_len],
+        });
+    }
+    Ok(())
+}
+
+/// `out[r][i] = Σ_p a[i][p] · xs[r][p]` for `a` holding `m` rows of `k`
+/// weights and `xs` holding `rows` inputs of `k` — the row-batched
+/// matrix–vector product behind [`Tensor::matvec_rows_into`], also used
+/// on raw slices (the SSM's `y = h·C` is one such product per head).
+///
+/// Every output is one serial `k`-term sum in index order, exactly as a
+/// plain dot-product loop computes it; speed comes from running many of
+/// those chains side by side. Rows go in tiles of up to four, the
+/// tile's inputs transposed so the rows are the vector lanes and each
+/// weight is loaded once per tile; a last single row runs four outputs
+/// at a time instead.
+///
+/// # Panics
+///
+/// When `k` is zero while `a` is not empty, or when `xs` and `out` do
+/// not hold the same number of rows of `k` and `m` values.
+pub fn matvec_rows(a: &[f32], k: usize, xs: &[f32], out: &mut [f32]) {
+    if k == 0 {
+        assert!(a.is_empty(), "matvec_rows: zero-width rows");
+        out.fill(0.0);
+        return;
+    }
+    let m = a.len() / k;
+    let rows = xs.len() / k;
+    assert!(
+        xs.len() == rows * k && out.len() == rows * m && a.len() == m * k,
+        "matvec_rows: shape mismatch"
+    );
+    if m == 0 {
+        return;
+    }
+    for (xs, out) in xs.chunks(ROW_TILE * k).zip(out.chunks_mut(ROW_TILE * m)) {
+        if xs.len() == k {
+            matvec_one(a, k, xs, out);
+        } else {
+            matvec_tile(a, k, xs, out);
+        }
+    }
+}
+
+/// Rows per tile of [`matvec_rows`] (one f32 vector of lanes).
+const ROW_TILE: usize = 4;
+
+/// Outputs per block of [`matvec_tile`].
+const TILE_OUTPUTS: usize = 8;
+
+/// Input positions transposed at a time by [`matvec_tile`] (a stack
+/// buffer, so the kernel needs no scratch).
+const TILE_DEPTH: usize = 256;
+
+/// Outputs per register block of the single-row path: that many
+/// independent chains keep the adder pipeline full.
+const DOT_BLOCK: usize = 4;
+
+/// [`matvec_rows`] for one input row: [`DOT_BLOCK`] outputs at a time,
+/// remainder one at a time.
+fn matvec_one(a: &[f32], k: usize, x: &[f32], out: &mut [f32]) {
+    let full = out.len() - out.len() % DOT_BLOCK;
+    let (head, tail) = out.split_at_mut(full);
+    let (a_head, a_tail) = a.split_at(full * k);
+    for (o, w) in head
+        .chunks_exact_mut(DOT_BLOCK)
+        .zip(a_head.chunks_exact(DOT_BLOCK * k))
+    {
+        let w: [&[f32]; DOT_BLOCK] = std::array::from_fn(|j| &w[j * k..(j + 1) * k]);
+        o.copy_from_slice(&dot_block(w, x));
+    }
+    for (o, w) in tail.iter_mut().zip(a_tail.chunks_exact(k)) {
+        *o = dot_block([w], x)[0];
+    }
+}
+
+/// `B` dot products of the weight rows `w` with `x`, as `B` independent
+/// serial chains. Weights are read as `B × 4` tiles and consumed column
+/// by column, which the compiler turns into vector lanes (one output per
+/// lane) while each chain still adds its terms in index order.
+#[inline(always)]
+fn dot_block<const B: usize>(w: [&[f32]; B], x: &[f32]) -> [f32; B] {
+    let k = x.len();
+    let w = w.map(|row| &row[..k]);
+    let full = k - k % 4;
+    let mut acc = [0.0f32; B];
+    for (q, xq) in x[..full].chunks_exact(4).enumerate() {
+        let tile: [[f32; 4]; B] = std::array::from_fn(|j| std::array::from_fn(|t| w[j][4 * q + t]));
+        for (t, &xv) in xq.iter().enumerate() {
+            for (a, row) in acc.iter_mut().zip(&tile) {
+                *a += row[t] * xv;
+            }
+        }
+    }
+    for (p, &xv) in x.iter().enumerate().skip(full) {
+        for (a, row) in acc.iter_mut().zip(&w) {
+            *a += row[p] * xv;
+        }
+    }
+    acc
+}
+
+/// [`matvec_rows`] for a tile of two to [`ROW_TILE`] rows: the rows'
+/// inputs are transposed, [`TILE_DEPTH`] positions at a time, so that
+/// each weight is broadcast once against all rows, up to
+/// [`TILE_OUTPUTS`] outputs at a time. Partial sums park in `out`
+/// between depth chunks (an exact f32 store and reload), so each output
+/// is still one serial chain.
+fn matvec_tile(a: &[f32], k: usize, xs: &[f32], out: &mut [f32]) {
+    let m = a.len() / k;
+    let rows = xs.len() / k;
+    for p0 in (0..k).step_by(TILE_DEPTH) {
+        let depth = TILE_DEPTH.min(k - p0);
+        let mut xt = [[0.0f32; ROW_TILE]; TILE_DEPTH];
+        for (r, x) in xs.chunks_exact(k).enumerate() {
+            for (lanes, &v) in xt.iter_mut().zip(&x[p0..p0 + depth]) {
+                lanes[r] = v;
+            }
+        }
+        let mut i = 0;
+        while i < m {
+            let block = TILE_OUTPUTS.min(m - i);
+            let mut acc = [[0.0f32; ROW_TILE]; TILE_OUTPUTS];
+            if p0 > 0 {
+                for r in 0..rows {
+                    for j in 0..block {
+                        acc[j][r] = out[r * m + i + j];
+                    }
+                }
+            }
+            let w: [&[f32]; TILE_OUTPUTS] = std::array::from_fn(|j| {
+                let row = (i + j.min(block - 1)) * k + p0;
+                &a[row..row + depth]
+            });
+            for p in 0..depth {
+                let xv = &xt[p];
+                for j in 0..TILE_OUTPUTS {
+                    let wv = w[j][p];
+                    for r in 0..ROW_TILE {
+                        acc[j][r] += wv * xv[r];
+                    }
+                }
+            }
+            for r in 0..rows {
+                for j in 0..block {
+                    out[r * m + i + j] = acc[j][r];
+                }
+            }
+            i += block;
+        }
+    }
+}
+
+/// Output columns per tile of [`vecmat_rows`]: every row's slice of the
+/// tile stays in L1 while the weight tile streams past.
+const VECMAT_TILE: usize = 256;
+
+/// `out[r] = xs[r] @ a` for `a` of shape `(k, n)`: per column tile, each
+/// weight row slice is applied to every input row (zero activations
+/// skipped), so the weight is read once per call however many rows.
+fn vecmat_rows(a: &[f32], k: usize, n: usize, xs: &[f32], out: &mut [f32]) {
+    out.fill(0.0);
+    if k == 0 || n == 0 {
+        return;
+    }
+    for j0 in (0..n).step_by(VECMAT_TILE) {
+        let j1 = (j0 + VECMAT_TILE).min(n);
+        for p in 0..k {
+            let w = &a[p * n + j0..p * n + j1];
+            for (x, o) in xs.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                let xv = x[p];
+                if xv == 0.0 {
+                    continue;
+                }
+                for (ov, &wv) in o[j0..j1].iter_mut().zip(w) {
+                    *ov += xv * wv;
+                }
+            }
+        }
     }
 }
 
@@ -306,6 +531,19 @@ mod tests {
         let a = Tensor::zeros(&[2, 3]);
         assert!(a.matvec(&[1.0, 2.0]).is_err());
         assert!(a.vecmat(&[1.0, 2.0, 3.0]).is_err());
+    }
+
+    #[test]
+    fn row_products_reject_partial_rows() {
+        let a = Tensor::zeros(&[2, 3]);
+        let mut out = [0.0; 4];
+        assert!(a.matvec_rows_into(&[1.0; 5], &mut out).is_err());
+        assert!(a.matvec_rows_into(&[1.0; 6], &mut out[..3]).is_err());
+        a.matvec_rows_into(&[1.0; 6], &mut out).unwrap();
+        let mut out = [0.0; 6];
+        assert!(a.vecmat_rows_into(&[1.0; 3], &mut out).is_err());
+        assert!(a.vecmat_rows_into(&[1.0; 4], &mut out[..5]).is_err());
+        a.vecmat_rows_into(&[1.0; 4], &mut out).unwrap();
     }
 
     #[test]

@@ -9,6 +9,101 @@ fn small_matrix() -> impl Strategy<Value = (usize, usize, Vec<f32>)> {
     })
 }
 
+/// `n` deterministic pseudo-random values in `[-2, 2)` from `seed`;
+/// with `sparse`, about half of them are exactly zero.
+fn values(seed: u64, n: usize, sparse: bool) -> Vec<f32> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            if sparse && z & 1 == 0 {
+                0.0
+            } else {
+                (z >> 40) as f32 / (1u64 << 24) as f32 * 4.0 - 2.0
+            }
+        })
+        .collect()
+}
+
+/// One serial sum per output in index order: the plain `matvec` loop the
+/// blocked kernel must reproduce bit for bit.
+fn serial_matvec(a: &[f32], k: usize, x: &[f32]) -> Vec<f32> {
+    a.chunks(k)
+        .map(|row| {
+            let mut acc = 0.0f32;
+            for (&w, &v) in row.iter().zip(x) {
+                acc += w * v;
+            }
+            acc
+        })
+        .collect()
+}
+
+/// The plain activation-outer `vecmat` loop (zero activations skipped).
+fn serial_vecmat(a: &[f32], n: usize, x: &[f32]) -> Vec<f32> {
+    let mut out = vec![0.0f32; n];
+    for (row, &xv) in a.chunks(n).zip(x) {
+        if xv == 0.0 {
+            continue;
+        }
+        for (o, &w) in out.iter_mut().zip(row) {
+            *o += xv * w;
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn row_matvec_matches_per_row_and_serial_bitwise(
+        seed in 0u64..10_000,
+        m in 1usize..40,
+        // Past 256 the row tiles transpose the input in two depth chunks.
+        k in prop_oneof![1usize..24, 250usize..300],
+        rows in 1usize..10,
+        sparse in any::<bool>(),
+    ) {
+        let a = Tensor::from_vec(values(seed, m * k, false), &[m, k]).unwrap();
+        let xs = values(seed ^ 0xA5A5, rows * k, sparse);
+        let mut batched = vec![f32::NAN; rows * m];
+        a.matvec_rows_into(&xs, &mut batched).unwrap();
+        for (x, got) in xs.chunks(k).zip(batched.chunks(m)) {
+            let mut single = vec![f32::NAN; m];
+            a.matvec_into(x, &mut single).unwrap();
+            prop_assert_eq!(got, &single[..]);
+            prop_assert_eq!(got, &serial_matvec(a.data(), k, x)[..]);
+        }
+    }
+
+    #[test]
+    fn row_vecmat_matches_per_row_and_serial_bitwise(
+        seed in 0u64..10_000,
+        k in 1usize..40,
+        // Crosses the 256-column tile with a ragged last tile.
+        n in prop_oneof![1usize..24, 250usize..300],
+        rows in 1usize..10,
+        sparse in any::<bool>(),
+    ) {
+        let a = Tensor::from_vec(values(seed, k * n, false), &[k, n]).unwrap();
+        let xs = values(seed ^ 0x5A5A, rows * k, sparse);
+        let mut batched = vec![f32::NAN; rows * n];
+        a.vecmat_rows_into(&xs, &mut batched).unwrap();
+        for (x, got) in xs.chunks(k).zip(batched.chunks(n)) {
+            let mut single = vec![f32::NAN; n];
+            a.vecmat_into(x, &mut single).unwrap();
+            prop_assert_eq!(got, &single[..]);
+            prop_assert_eq!(got, &serial_vecmat(a.data(), n, x)[..]);
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn matmul_identity_is_noop((r, c, data) in small_matrix()) {
